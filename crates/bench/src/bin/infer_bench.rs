@@ -7,7 +7,7 @@
 //! ```
 //!
 //! For each design scale the bench builds C1 at that scale, simulates a
-//! W1 toggle trace, and embeds the whole trace four ways:
+//! W1 toggle trace, and times three embeds of the whole trace:
 //!
 //! * **per_cycle** — the seed hot path, reproduced verbatim in
 //!   [`seed_path`]: the scalar zero-skipping matmul kernel, one forward
@@ -21,33 +21,32 @@
 //! * **scalar_batched** — the same batched path with the kernel dispatch
 //!   pinned to the scalar fallback, isolating the SIMD micro-kernels'
 //!   contribution as `simd_speedup` (an in-run ratio, so the CI gate
-//!   compares like with like on whatever machine runs it);
-//! * **f32** — the batched path through the reduced-precision encoder
-//!   ([`Precision::F32`]), gated on accuracy (`f32_max_rel_delta` against
-//!   the f64 embeddings, tolerance [`atlas_nn::F32_EMBED_TOLERANCE`])
-//!   rather than bit parity.
+//!   compares like with like on whatever machine runs it).
 //!
-//! The f64 arms produce bit-identical embeddings (checked, reported as
+//! The arms produce bit-identical embeddings (checked, reported as
 //! `parity`/`scalar_parity` — seed, batched, and scalar-batched forwards
 //! are the same dot-product sequence per output element); the bench
-//! measures throughput in embedded trace cycles per second. The `gate`
-//! object repeats the `--gate-scale` row with flat numeric field names
-//! for the CI regression gate (`scripts/check_bench.rs --infer`), and the
-//! report's `isa`/`kernel`/`f32_kernel` fields record what the dispatch
-//! actually selected on the benchmarking machine.
+//! measures throughput in embedded trace cycles per second. One untimed
+//! embed at [`Precision::F32`] storage checks the f32 accuracy contract:
+//! `f32_max_rel_delta` against the f64 rows, gated on
+//! [`F32_EMBED_TOLERANCE`]. The `gate` object repeats the `--gate-scale`
+//! row with flat numeric field names for the CI regression gate
+//! (`scripts/check_bench.rs --infer`), and the report's `isa`/`kernel`
+//! fields record what the dispatch actually selected on the benchmarking
+//! machine.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use atlas_core::features::{build_submodule_data, side_features, SubmoduleData};
 use atlas_core::finetune::{MemoryModel, PowerHeads};
-use atlas_core::{AtlasModel, EmbeddingTable, Precision};
+use atlas_core::{AtlasModel, EmbeddingTable, Precision, F32_EMBED_TOLERANCE};
 use atlas_designs::DesignConfig;
 use atlas_gbdt::{Gbdt, GbdtConfig};
 use atlas_liberty::Library;
 use atlas_netlist::Design;
 use atlas_nn::simd::{self, KernelLevel};
-use atlas_nn::{EncoderConfig, EncoderState, GraphEncoder, Matrix, SparseAdj, F32_EMBED_TOLERANCE};
+use atlas_nn::{EncoderConfig, EncoderState, GraphEncoder, Matrix, SparseAdj};
 use atlas_sim::{simulate, PhasedWorkload, ToggleTrace};
 use serde::Serialize;
 
@@ -339,15 +338,13 @@ struct ScaleRow {
     per_cycle: Arm,
     batched: Arm,
     scalar_batched: Arm,
-    f32: Arm,
     /// `batched.cycles_per_s / per_cycle.cycles_per_s`.
     speedup: f64,
     /// `batched.cycles_per_s / scalar_batched.cycles_per_s` — the SIMD
     /// micro-kernels' in-run contribution.
     simd_speedup: f64,
-    /// `f32.cycles_per_s / batched.cycles_per_s`.
-    f32_speedup: f64,
-    /// Largest `|f32 − f64| / (1 + |f64|)` over every embedding element.
+    /// Largest `|f32 − f64| / (1 + |f64|)` over every embedding element
+    /// of the f32-storage embed.
     f32_max_rel_delta: f64,
     /// Whether batched f64 embeddings are bit-identical to the seed path
     /// (must be true).
@@ -375,7 +372,7 @@ struct GateRow {
     /// Largest f32-vs-f64 relative embedding delta at the gate scale.
     f32_max_rel_delta: f64,
     /// The accuracy bound `f32_max_rel_delta` is gated against
-    /// ([`atlas_nn::F32_EMBED_TOLERANCE`], written out so the gate script
+    /// ([`F32_EMBED_TOLERANCE`], written out so the gate script
     /// needs no shared constant).
     f32_tolerance: f64,
     parity: bool,
@@ -388,10 +385,8 @@ struct Report {
     reps: usize,
     /// ISA level runtime feature detection found on this machine.
     isa: String,
-    /// f64 kernel variant the dispatch selected.
+    /// Kernel variant the dispatch selected.
     kernel: String,
-    /// f32 kernel variant the dispatch selected.
-    f32_kernel: String,
     scales: Vec<ScaleRow>,
     gate: GateRow,
 }
@@ -407,7 +402,7 @@ fn table_matches_f64(table: &EmbeddingTable, baseline: &[Vec<f64>]) -> bool {
 }
 
 /// Largest `|a − b| / (1 + |b|)` between an f32 embedding table and the
-/// f64 baseline rows — the accuracy metric the f32 path is gated on.
+/// f64 baseline rows — the accuracy metric f32 storage is gated on.
 fn max_rel_delta_f32(table: &EmbeddingTable, baseline: &[Vec<f64>]) -> f64 {
     let EmbeddingTable::F32(rows) = table else {
         return f64::INFINITY;
@@ -438,7 +433,6 @@ fn bench_scale(
     let data = build_submodule_data(&gate, lib);
     let encoder = seed_path::SeedEncoder::new(model.encoder());
     let prepared_f64 = model.prepare(Precision::F64);
-    let prepared_f32 = model.prepare(Precision::F32);
 
     // The arms alternate within each rep so machine noise (a shared host,
     // frequency scaling) hits all equally; best-of-reps per arm.
@@ -448,8 +442,6 @@ fn bench_scale(
     let mut batched_out = None;
     let mut scalar_wall = f64::MAX;
     let mut scalar_out = None;
-    let mut f32_wall = f64::MAX;
-    let mut f32_out = None;
     for _ in 0..reps {
         let t0 = Instant::now();
         per_cycle_out = embed_per_cycle(&encoder, &gate, lib, &data, &trace, threads);
@@ -468,14 +460,17 @@ fn bench_scale(
             Some(model.embed_trace_with(&prepared_f64, &gate, lib, &data, &trace, threads));
         scalar_wall = scalar_wall.min(t2.elapsed().as_secs_f64());
         simd::set_kernel(prev).map_err(|e| e.to_string())?;
-
-        let t3 = Instant::now();
-        f32_out = Some(model.embed_trace_with(&prepared_f32, &gate, lib, &data, &trace, threads));
-        f32_wall = f32_wall.min(t3.elapsed().as_secs_f64());
     }
     let batched_out = batched_out.expect("reps >= 1");
     let scalar_out = scalar_out.expect("reps >= 1");
-    let f32_out = f32_out.expect("reps >= 1");
+    let f32_out = model.embed_trace_with(
+        &model.prepare(Precision::F32),
+        &gate,
+        lib,
+        &data,
+        &trace,
+        threads,
+    );
 
     let parity_with = |out: &atlas_core::TraceEmbeddings| {
         out.per_submodule().len() == per_cycle_out.len()
@@ -511,13 +506,8 @@ fn bench_scale(
             wall_s: scalar_wall,
             cycles_per_s: cps(scalar_wall),
         },
-        f32: Arm {
-            wall_s: f32_wall,
-            cycles_per_s: cps(f32_wall),
-        },
         speedup: per_cycle_wall / batched_wall.max(1e-9),
         simd_speedup: scalar_wall / batched_wall.max(1e-9),
-        f32_speedup: batched_wall / f32_wall.max(1e-9),
         f32_max_rel_delta,
         parity,
         scalar_parity,
@@ -545,10 +535,9 @@ fn main() -> ExitCode {
     let model = stub_model();
 
     println!(
-        "isa {} — f64 kernel {}, f32 kernel {}",
+        "isa {} — kernel {}",
         simd::isa_label(),
-        simd::kernel_label(simd::active_kernel()),
-        simd::f32_kernel_label()
+        simd::kernel_label(simd::active_kernel())
     );
 
     let mut rows = Vec::new();
@@ -558,7 +547,7 @@ fn main() -> ExitCode {
                 println!(
                     "scale {:.2}: {} submodules / {} cells — per-cycle {:.1} cyc/s, \
                      batched {:.1} cyc/s ({:.2}x, parity {}), simd {:.2}x (scalar parity {}), \
-                     f32 {:.2}x (max rel delta {:.2e})",
+                     f32 max rel delta {:.2e}",
                     row.scale,
                     row.submodules,
                     row.cells,
@@ -568,7 +557,6 @@ fn main() -> ExitCode {
                     row.parity,
                     row.simd_speedup,
                     row.scalar_parity,
-                    row.f32_speedup,
                     row.f32_max_rel_delta,
                 );
                 rows.push(row);
@@ -590,7 +578,6 @@ fn main() -> ExitCode {
         reps: args.reps,
         isa: simd::isa_label().to_owned(),
         kernel: simd::kernel_label(simd::active_kernel()).to_owned(),
-        f32_kernel: simd::f32_kernel_label().to_owned(),
         gate: GateRow {
             scale: gate_row.scale,
             per_cycle_cycles_per_s: gate_row.per_cycle.cycles_per_s,

@@ -145,28 +145,6 @@ impl SubmoduleData {
         }
     }
 
-    /// f32 sibling of
-    /// [`write_features_from_bits`](Self::write_features_from_bits) for the
-    /// reduced-precision inference path: the static features are narrowed
-    /// per write (they are O(1)-scaled, so the cast is exact to f32
-    /// resolution) and the toggle channel is set from the bitset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not `node_count() * FEATURE_DIM` long or
-    /// `toggles` has fewer than `node_count()` bits.
-    pub fn write_features_from_bits_f32(&self, toggles: &[u64], dst: &mut [f32]) {
-        assert_eq!(dst.len(), self.static_feats.as_slice().len());
-        for (d, &s) in dst.iter_mut().zip(self.static_feats.as_slice()) {
-            *d = s as f32;
-        }
-        for i in 0..self.cells.len() {
-            if toggles[i / 64] & (1 << (i % 64)) != 0 {
-                dst[i * FEATURE_DIM + TOGGLE_CHANNEL] = 1.0;
-            }
-        }
-    }
-
     /// Masked features for pre-training tasks ① and ②: a fraction of the
     /// nodes have their toggle bit replaced by the `[MASK_TOGGLE]` token,
     /// and a *disjoint* fraction their type one-hot by `[MASK_NODE_TYPE]`.

@@ -49,10 +49,7 @@ pub mod pretrain;
 
 pub use evaluate::EvalRow;
 pub use model::{
-    AtlasModel, DeltaStats, EmbeddingTable, PreparedEncoder, SubmoduleEmbeddings, TraceEmbeddings,
+    AtlasModel, DeltaStats, EmbeddingTable, Precision, PreparedEncoder, SubmoduleEmbeddings,
+    TraceEmbeddings, F32_EMBED_TOLERANCE,
 };
 pub use pipeline::{train_atlas, ExperimentConfig, LookupError, TrainedAtlas};
-
-// The precision knob travels with the model API: serving layers pick a
-// [`Precision`] without depending on `atlas_nn` directly.
-pub use atlas_nn::{Precision, F32_EMBED_TOLERANCE};

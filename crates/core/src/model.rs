@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use atlas_liberty::{Library, PowerGroup};
 use atlas_netlist::{Design, Stage};
-use atlas_nn::{EncoderState, InferenceEncoder, InferenceEncoderF32, Precision};
+use atlas_nn::{EncoderState, InferenceEncoder};
 use atlas_power::PowerTrace;
 use atlas_sim::ToggleTrace;
 use serde::{Deserialize, Serialize};
@@ -12,46 +12,80 @@ use serde::{Deserialize, Serialize};
 use crate::features::{build_submodule_data, SideFeatures, SideTable, SubmoduleData};
 use crate::finetune::PowerHeads;
 
-/// A frozen inference encoder at a chosen [`Precision`], built **once**
-/// per model load by [`AtlasModel::prepare`] (the f32 variant narrows
-/// every weight matrix at construction, not per forward) and reused for
-/// every trace embedded against that model.
+/// Maximum per-element deviation of an f32-stored trace embedding from
+/// its f64 counterpart, under the relative metric `|a − b| / (1 + |b|)`.
+/// f32 rows are the f64 rows narrowed once, so the real deviation is one
+/// f32 rounding (about 6e-8); the bound is shared by the model tests and
+/// the `infer_bench` accuracy gate so the two cannot drift apart.
+pub const F32_EMBED_TOLERANCE: f64 = 1e-3;
+
+/// Storage precision of cached embedding rows. The encoder always
+/// computes in f64; [`Precision::F32`] narrows each finished row once, at
+/// assembly, and the heads widen it back before evaluation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Precision {
+    /// Full-precision rows: bit-parity guarantees, 8 bytes per element.
+    #[default]
+    F64,
+    /// Narrowed rows: within [`F32_EMBED_TOLERANCE`] of f64, 4 bytes per
+    /// element, half the cache cost per embedding.
+    F32,
+}
+
+impl Precision {
+    /// Stable lowercase name (`"f64"` / `"f32"`), for stats and flags.
+    pub fn label(self) -> &'static str {
+        match self {
+            Precision::F64 => "f64",
+            Precision::F32 => "f32",
+        }
+    }
+}
+
+impl std::fmt::Display for Precision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for Precision {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Precision, String> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "f64" | "double" => Ok(Precision::F64),
+            "f32" | "single" => Ok(Precision::F32),
+            other => Err(format!("unknown precision `{other}` (expected f64 or f32)")),
+        }
+    }
+}
+
+/// A frozen f64 inference encoder plus the [`Precision`] its embeddings
+/// are stored at, built **once** per model load by
+/// [`AtlasModel::prepare`] and reused for every trace embedded against
+/// that model.
 #[derive(Debug, Clone)]
-pub enum PreparedEncoder {
-    /// Full-precision evaluator — bit-parity guarantees.
-    F64(InferenceEncoder),
-    /// Reduced-precision evaluator — accuracy-delta guarantees
-    /// ([`atlas_nn::F32_EMBED_TOLERANCE`]), embeddings at half the bytes.
-    F32(InferenceEncoderF32),
+pub struct PreparedEncoder {
+    encoder: InferenceEncoder,
+    precision: Precision,
 }
 
 impl PreparedEncoder {
-    /// The precision this encoder evaluates (and emits embeddings) at.
+    /// The precision this encoder's embeddings are stored at.
     pub fn precision(&self) -> Precision {
-        match self {
-            PreparedEncoder::F64(_) => Precision::F64,
-            PreparedEncoder::F32(_) => Precision::F32,
-        }
-    }
-
-    /// Cycles per chunk of the batched forward for a graph of `nodes`
-    /// nodes (the f32 path fits up to twice as many in the same budget).
-    pub fn cycle_chunk(&self, nodes: usize) -> usize {
-        match self {
-            PreparedEncoder::F64(e) => e.cycle_chunk(nodes),
-            PreparedEncoder::F32(e) => e.cycle_chunk(nodes),
-        }
+        self.precision
     }
 }
 
-/// Per-cycle graph embeddings of one sub-module, stored at the precision
-/// they were computed at — f32 rows cost half the cache bytes of f64
-/// rows, which doubles what fits a byte-budgeted embedding cache.
+/// Per-cycle graph embeddings of one sub-module at their storage
+/// [`Precision`] — f32 rows (the f64 rows narrowed) cost half the cache
+/// bytes of f64 rows, which doubles what fits a byte-budgeted embedding
+/// cache.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EmbeddingTable {
     /// Full-precision rows (8 bytes per element).
     F64(Vec<Vec<f64>>),
-    /// Reduced-precision rows (4 bytes per element).
+    /// The f64 rows narrowed (4 bytes per element).
     F32(Vec<Vec<f32>>),
 }
 
@@ -109,7 +143,7 @@ impl EmbeddingTable {
 pub struct SubmoduleEmbeddings {
     /// Index of the sub-module in its design.
     pub submodule: usize,
-    /// Per-cycle graph embeddings, at the precision they were computed at.
+    /// Per-cycle graph embeddings, at their storage precision.
     pub embeddings: EmbeddingTable,
     /// `sides[cycle]` — the toggle-weighted side features for that cycle.
     pub sides: Vec<SideFeatures>,
@@ -150,7 +184,7 @@ impl TraceEmbeddings {
         self.cycles
     }
 
-    /// Precision the embeddings were computed and are stored at.
+    /// Precision the embeddings are stored at.
     pub fn precision(&self) -> Precision {
         self.precision
     }
@@ -162,7 +196,7 @@ impl TraceEmbeddings {
 
     /// Approximate heap size in bytes (for cache accounting). f32 tables
     /// report half the bytes of f64 tables, so a byte-budgeted cache holds
-    /// twice the traces at reduced precision.
+    /// twice the traces at f32 storage.
     pub fn approx_bytes(&self) -> usize {
         self.per_submodule
             .iter()
@@ -248,12 +282,6 @@ fn ranged_items(
         }
     }
     items
-}
-
-/// Per-precision unique-pattern embedding rows (phase-2 working set).
-enum EmbRows {
-    F64(Vec<Vec<f64>>),
-    F32(Vec<Vec<f32>>),
 }
 
 /// Phase-1 output: per (sub-module, cycle) side features, and each
@@ -379,14 +407,14 @@ fn encode_unique(
     uniq_bits: &[Vec<Vec<u64>>],
     slots: &[Vec<usize>],
     threads: usize,
-) -> Vec<EmbRows> {
+) -> Vec<Vec<Vec<f64>>> {
     let counts: Vec<usize> = slots.iter().map(|s| s.len()).collect();
     let enc_items = ranged_items(data, &counts, threads);
     let enc_weights: Vec<usize> = enc_items
         .iter()
         .map(|&(sm, _, len)| data[sm].node_count() * len)
         .collect();
-    type EncOut = (usize, usize, EmbRows);
+    type EncOut = (usize, usize, Vec<Vec<f64>>);
     let encoded: Vec<EncOut> = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for bin in lpt_bins(&enc_weights, threads) {
@@ -405,21 +433,13 @@ fn encode_unique(
                     // bitset straight into the chunk's stacked operand
                     // (no second trace scan), so live feature memory
                     // stays within the encoder's chunk budget.
-                    let chunk = encoder.cycle_chunk(smd.node_count());
-                    let rows = match encoder {
-                        PreparedEncoder::F64(enc) => EmbRows::F64(enc.encode_graph_batch_fill(
-                            smd.adj(),
-                            len,
-                            chunk,
-                            |u, dst| smd.write_features_from_bits(&bits[pick[start + u]], dst),
-                        )),
-                        PreparedEncoder::F32(enc) => EmbRows::F32(enc.encode_graph_batch_fill(
-                            smd.adj(),
-                            len,
-                            chunk,
-                            |u, dst| smd.write_features_from_bits_f32(&bits[pick[start + u]], dst),
-                        )),
-                    };
+                    let enc = &encoder.encoder;
+                    let rows = enc.encode_graph_batch_fill(
+                        smd.adj(),
+                        len,
+                        enc.cycle_chunk(smd.node_count()),
+                        |u, dst| smd.write_features_from_bits(&bits[pick[start + u]], dst),
+                    );
                     local.push((sm, start, rows));
                 }
                 local
@@ -432,26 +452,10 @@ fn encode_unique(
     })
     .expect("scoped threads join");
 
-    let mut out: Vec<EmbRows> = counts
-        .iter()
-        .map(|&u| match encoder {
-            PreparedEncoder::F64(_) => EmbRows::F64(vec![Vec::new(); u]),
-            PreparedEncoder::F32(_) => EmbRows::F32(vec![Vec::new(); u]),
-        })
-        .collect();
+    let mut out: Vec<Vec<Vec<f64>>> = counts.iter().map(|&u| vec![Vec::new(); u]).collect();
     for (sm, start, rows) in encoded {
-        match (&mut out[sm], rows) {
-            (EmbRows::F64(table), EmbRows::F64(rows)) => {
-                for (off, r) in rows.into_iter().enumerate() {
-                    table[start + off] = r;
-                }
-            }
-            (EmbRows::F32(table), EmbRows::F32(rows)) => {
-                for (off, r) in rows.into_iter().enumerate() {
-                    table[start + off] = r;
-                }
-            }
-            _ => unreachable!("phase-2 items share the encoder's precision"),
+        for (off, r) in rows.into_iter().enumerate() {
+            out[sm][start + off] = r;
         }
     }
     out
@@ -470,16 +474,36 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// `table[cycle] = uniq[pattern_of[cycle]]` at the storage precision.
+/// Narrowing happens once per unique row, so every cycle of a pattern
+/// shares the same narrowed bits.
+fn store_rows(precision: Precision, uniq: &[Vec<f64>], pattern_of: &[usize]) -> EmbeddingTable {
+    match precision {
+        Precision::F64 => {
+            EmbeddingTable::F64(pattern_of.iter().map(|&s| uniq[s].clone()).collect())
+        }
+        Precision::F32 => {
+            let narrow: Vec<Vec<f32>> = uniq
+                .iter()
+                .map(|row| row.iter().map(|&v| v as f32).collect())
+                .collect();
+            EmbeddingTable::F32(pattern_of.iter().map(|&s| narrow[s].clone()).collect())
+        }
+    }
+}
+
 /// Final step of both embed paths: every cycle copies its unique
-/// pattern's row, and the item-level reuse keys (graph fingerprint,
-/// per-cycle pattern digests) are stamped alongside.
+/// pattern's f64 row — narrowed element by element (`as f32`) when the
+/// storage precision is [`Precision::F32`] — and the item-level reuse
+/// keys (graph fingerprint, per-cycle pattern digests) are stamped
+/// alongside.
 fn assemble_embeddings(
     gate: &Design,
     trace: &ToggleTrace,
     precision: Precision,
     data: &[SubmoduleData],
     mut scan: TraceScan,
-    uniq_rows: &[EmbRows],
+    uniq_rows: &[Vec<Vec<f64>>],
 ) -> TraceEmbeddings {
     let cycles = trace.cycles();
     let per_submodule: Vec<SubmoduleEmbeddings> = data
@@ -492,20 +516,7 @@ fn assemble_embeddings(
                 .collect();
             SubmoduleEmbeddings {
                 submodule: smd.submodule().index(),
-                embeddings: match &uniq_rows[sm] {
-                    EmbRows::F64(uniq) => EmbeddingTable::F64(
-                        scan.pattern_of[sm]
-                            .iter()
-                            .map(|&s| uniq[s].clone())
-                            .collect(),
-                    ),
-                    EmbRows::F32(uniq) => EmbeddingTable::F32(
-                        scan.pattern_of[sm]
-                            .iter()
-                            .map(|&s| uniq[s].clone())
-                            .collect(),
-                    ),
-                },
+                embeddings: store_rows(precision, &uniq_rows[sm], &scan.pattern_of[sm]),
                 sides: std::mem::take(&mut scan.sides_of[sm]),
                 graph_fp: smd.structural_fingerprint(),
                 pattern_digests: scan.pattern_of[sm]
@@ -607,15 +618,14 @@ impl AtlasModel {
         self.predict_from_embeddings(&embeddings)
     }
 
-    /// Build a frozen inference encoder at the requested precision — the
-    /// once-per-load conversion point of the precision choice. Keep the
-    /// result and pass it to [`embed_trace_with`](Self::embed_trace_with)
-    /// so repeated traces skip re-cloning (f64) or re-narrowing (f32) the
-    /// weights.
+    /// Build the frozen f64 inference encoder once, tagged with the
+    /// precision its embeddings are stored at. Keep the result and pass it
+    /// to [`embed_trace_with`](Self::embed_trace_with) so repeated traces
+    /// skip re-cloning the weights.
     pub fn prepare(&self, precision: Precision) -> PreparedEncoder {
-        match precision {
-            Precision::F64 => PreparedEncoder::F64(InferenceEncoder::from_state(&self.encoder)),
-            Precision::F32 => PreparedEncoder::F32(InferenceEncoderF32::from_state(&self.encoder)),
+        PreparedEncoder {
+            encoder: InferenceEncoder::from_state(&self.encoder),
+            precision,
         }
     }
 
@@ -642,8 +652,8 @@ impl AtlasModel {
 
     /// Inference stage one (expensive, cacheable): per-cycle feature
     /// construction, encoder forwards, and side features for every
-    /// sub-module of the trace, evaluated by a prepared encoder at its
-    /// precision.
+    /// sub-module of the trace, evaluated by a prepared encoder in f64 and
+    /// stored at its precision.
     ///
     /// Work runs in two parallel phases over `threads` std threads (`0` =
     /// auto: available parallelism capped at 8), both packed by estimated
@@ -667,8 +677,9 @@ impl AtlasModel {
     /// Every cycle's embedding is then the copy of its pattern's — exact,
     /// because the encoder is a pure function of (graph, features). f64
     /// results are bit-identical to the per-cycle path for every thread
-    /// count and chunking; f32 results carry the precision's accuracy
-    /// contract ([`atlas_nn::F32_EMBED_TOLERANCE`]) instead.
+    /// count and chunking; f32 results are exactly those rows narrowed,
+    /// so they are deterministic too and stay within
+    /// [`F32_EMBED_TOLERANCE`] of f64.
     pub fn embed_trace_with(
         &self,
         encoder: &PreparedEncoder,
@@ -717,7 +728,6 @@ impl AtlasModel {
     ) -> (TraceEmbeddings, DeltaStats) {
         let threads = resolve_threads(threads);
         let scan = scan_trace(gate, lib, data, trace, threads);
-        let precision_ok = base.precision() == encoder.precision();
         let base_by_sm: HashMap<usize, &SubmoduleEmbeddings> = base
             .per_submodule
             .iter()
@@ -725,13 +735,11 @@ impl AtlasModel {
             .collect();
 
         let mut stats = DeltaStats::default();
-        let mut uniq_rows: Vec<EmbRows> = scan
+        let mut scratch = Vec::new();
+        let mut uniq_rows: Vec<Vec<Vec<f64>>> = scan
             .uniq_bits
             .iter()
-            .map(|u| match encoder {
-                PreparedEncoder::F64(_) => EmbRows::F64(vec![Vec::new(); u.len()]),
-                PreparedEncoder::F32(_) => EmbRows::F32(vec![Vec::new(); u.len()]),
-            })
+            .map(|u| vec![Vec::new(); u.len()])
             .collect();
         let mut missing_slots: Vec<Vec<usize>> = vec![Vec::new(); data.len()];
         let mut slot_reused: Vec<Vec<bool>> = scan
@@ -740,15 +748,15 @@ impl AtlasModel {
             .map(|u| vec![false; u.len()])
             .collect();
         for (sm, smd) in data.iter().enumerate() {
-            let donor = if precision_ok {
-                base_by_sm
-                    .get(&smd.submodule().index())
-                    .copied()
-                    .filter(|b| b.graph_fp == smd.structural_fingerprint())
-                    .filter(|b| b.embeddings.precision() == encoder.precision())
-            } else {
-                None
-            };
+            // Only a table at the encoder's own storage precision
+            // donates. f32 rows are lossy, so they cannot stand in for f64
+            // rows; within f32 a donated row is widened here and narrowed
+            // again at assembly, which returns the same bits.
+            let donor = base_by_sm
+                .get(&smd.submodule().index())
+                .copied()
+                .filter(|b| b.graph_fp == smd.structural_fingerprint())
+                .filter(|b| b.embeddings.precision() == encoder.precision());
             // First base cycle per digest; any occurrence donates the
             // same row bits, so first-wins is as good as any.
             let digest_cycle: HashMap<u64, usize> = donor
@@ -765,15 +773,7 @@ impl AtlasModel {
                 let hit = donor.and_then(|b| digest_cycle.get(&digest).map(|&t| (b, t)));
                 match hit {
                     Some((b, t)) => {
-                        match (&mut uniq_rows[sm], &b.embeddings) {
-                            (EmbRows::F64(rows), EmbeddingTable::F64(table)) => {
-                                rows[slot] = table[t].clone();
-                            }
-                            (EmbRows::F32(rows), EmbeddingTable::F32(table)) => {
-                                rows[slot] = table[t].clone();
-                            }
-                            _ => unreachable!("donor filtered to the encoder's precision"),
-                        }
+                        uniq_rows[sm][slot] = b.embeddings.row_f64(t, &mut scratch).to_vec();
                         slot_reused[sm][slot] = true;
                         stats.reused_patterns += 1;
                     }
@@ -787,18 +787,8 @@ impl AtlasModel {
 
         let fresh = encode_unique(encoder, data, &scan.uniq_bits, &missing_slots, threads);
         for (sm, rows) in fresh.into_iter().enumerate() {
-            match (&mut uniq_rows[sm], rows) {
-                (EmbRows::F64(table), EmbRows::F64(rows)) => {
-                    for (i, r) in rows.into_iter().enumerate() {
-                        table[missing_slots[sm][i]] = r;
-                    }
-                }
-                (EmbRows::F32(table), EmbRows::F32(rows)) => {
-                    for (i, r) in rows.into_iter().enumerate() {
-                        table[missing_slots[sm][i]] = r;
-                    }
-                }
-                _ => unreachable!("fresh rows share the encoder's precision"),
+            for (i, r) in rows.into_iter().enumerate() {
+                uniq_rows[sm][missing_slots[sm][i]] = r;
             }
         }
         for (sm, slots) in scan.pattern_of.iter().enumerate() {
@@ -992,7 +982,8 @@ mod tests {
         let data = build_submodule_data(&bundle.gate, &lib);
         let f64enc = model.prepare(Precision::F64);
         let f32enc = model.prepare(Precision::F32);
-        // An f32 base can never donate rows to an f64 delta.
+        // An f32 base can never donate rows to an f64 delta: narrowed
+        // rows are lossy.
         let base32 =
             model.embed_trace_with(&f32enc, &bundle.gate, &lib, &data, &bundle.gate_trace, 2);
         let full =
@@ -1014,6 +1005,65 @@ mod tests {
         for (a, b) in full.per_submodule().iter().zip(delta.per_submodule()) {
             assert_eq!(a.embeddings, b.embeddings);
         }
+    }
+
+    #[test]
+    fn precision_parses_and_prints() {
+        assert_eq!("f64".parse::<Precision>(), Ok(Precision::F64));
+        assert_eq!("F32".parse::<Precision>(), Ok(Precision::F32));
+        assert_eq!(" single ".parse::<Precision>(), Ok(Precision::F32));
+        assert!("f16".parse::<Precision>().is_err());
+        assert_eq!(Precision::F32.to_string(), "f32");
+        assert_eq!(Precision::default(), Precision::F64);
+    }
+
+    #[test]
+    fn is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<PreparedEncoder>();
+    }
+
+    #[test]
+    fn f32_storage_is_the_f64_rows_narrowed() {
+        let (model, bundle, lib) = tiny_model();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        let trace = &bundle.gate_trace;
+        let wide = model.embed_trace_with(
+            &model.prepare(Precision::F64),
+            &bundle.gate,
+            &lib,
+            &data,
+            trace,
+            2,
+        );
+        let narrow = model.embed_trace_with(
+            &model.prepare(Precision::F32),
+            &bundle.gate,
+            &lib,
+            &data,
+            trace,
+            3,
+        );
+        assert_eq!(narrow.precision(), Precision::F32);
+        for (w, n) in wide.per_submodule().iter().zip(narrow.per_submodule()) {
+            let (EmbeddingTable::F64(wide_rows), EmbeddingTable::F32(narrow_rows)) =
+                (&w.embeddings, &n.embeddings)
+            else {
+                panic!("each table is stored at its encoder's precision");
+            };
+            let expected: Vec<Vec<f32>> = wide_rows
+                .iter()
+                .map(|row| row.iter().map(|&v| v as f32).collect())
+                .collect();
+            assert_eq!(narrow_rows, &expected, "f32 rows are the f64 rows narrowed");
+            for (a, b) in narrow_rows.iter().flatten().zip(wide_rows.iter().flatten()) {
+                let delta = (f64::from(*a) - b).abs() / (1.0 + b.abs());
+                assert!(delta <= F32_EMBED_TOLERANCE, "{a} vs {b}");
+            }
+            assert_eq!(w.sides, n.sides);
+            assert_eq!(w.pattern_digests, n.pattern_digests);
+        }
+        assert!(narrow.approx_bytes() < wide.approx_bytes());
     }
 
     #[test]

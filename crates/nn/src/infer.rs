@@ -32,13 +32,13 @@ use crate::sparse::SparseAdj;
 /// at once during a layer and the pass structure sweeps them repeatedly,
 /// so this is sized to keep the whole working set near the last-level
 /// cache rather than to fit RAM.
-pub(crate) const CHUNK_BUDGET_BYTES: usize = 512 << 10;
+const CHUNK_BUDGET_BYTES: usize = 512 << 10;
 
 /// Upper bound on cycles per chunk. Empirically the batched forward is
 /// fastest with shallow chunks: they amortize scratch reuse and the
 /// output projection while keeping every temporary cache-resident —
 /// locality beats batch depth once per-chunk fixed costs are amortized.
-pub(crate) const MAX_CYCLE_CHUNK: usize = 4;
+const MAX_CYCLE_CHUNK: usize = 4;
 
 /// Reusable large temporaries of the cycle-blocked hidden pass, all
 /// `(blocks·n) × hidden`. Allocated lazily to the working shape and then

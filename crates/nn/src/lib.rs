@@ -9,10 +9,10 @@
 //!   (a dynamic tape of `Rc` nodes, like a tiny PyTorch);
 //! * [`Linear`], [`MlpHead`] — parameterized modules;
 //! * [`Adam`] — the optimizer used in the paper (lr `1e-4`);
-//! * [`Matrix32`] + [`InferenceEncoderF32`] — the opt-in reduced-precision
-//!   inference path ([`Precision`]), accuracy-gated against f64 by
-//!   [`F32_EMBED_TOLERANCE`];
-//! * [`simd`] — runtime-dispatched SIMD micro-kernels (AVX2/FMA with a
+//! * [`InferenceEncoder`] — the tape-free, thread-safe f64 evaluator of
+//!   a trained encoder (the only inference arithmetic; storage precision
+//!   of its embeddings is the model layer's concern);
+//! * [`simd`] — runtime-dispatched SIMD micro-kernels (AVX2 with a
 //!   bit-identical scalar fallback) behind every dense kernel above;
 //! * [`SparseAdj`] — normalized sparse adjacency with `spmm`;
 //! * [`GraphEncoder`] — the SGFormer-style encoder: one O(N·d²)
@@ -43,11 +43,9 @@
 mod adam;
 mod encoder;
 mod infer;
-mod infer32;
 mod linear;
 mod loss;
 mod matrix;
-mod matrix32;
 pub mod simd;
 mod sparse;
 mod tensor;
@@ -55,11 +53,9 @@ mod tensor;
 pub use adam::Adam;
 pub use encoder::{EncoderConfig, EncoderState, GraphEncoder, SUM_POOL_SCALE};
 pub use infer::InferenceEncoder;
-pub use infer32::{InferenceEncoderF32, Precision, F32_EMBED_TOLERANCE};
 pub use linear::{Linear, MlpHead};
 pub use loss::info_nce;
 pub use matrix::Matrix;
-pub use matrix32::Matrix32;
 pub use simd::KernelLevel;
 pub use sparse::SparseAdj;
 pub use tensor::Tensor;

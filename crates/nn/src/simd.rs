@@ -27,13 +27,12 @@
 //! vector and scalar results are bit-identical — proptests in
 //! `matrix.rs` pin this across tile-edge shapes.
 //!
-//! # The f32 path
+//! # One precision
 //!
-//! The reduced-precision kernels (`tile4x8_f32` and friends) have no
-//! bit-parity obligation — the f32 inference path is validated by an
-//! accuracy-delta gate against f64, not bitwise — so they use FMA
-//! (`_mm256_fmadd_ps`) when the host has it, which is both faster and
-//! slightly *more* accurate (single rounding per multiply-add).
+//! Every kernel here is f64 and none uses FMA. The serving layer's f32
+//! mode is a storage format only: the model layer narrows finished
+//! embedding rows for the cache, so no f32 arithmetic reaches these
+//! kernels.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -44,8 +43,8 @@ pub enum KernelLevel {
     /// Portable scalar loops — bit-identical to the historical blocked
     /// reference on every platform.
     Scalar = 0,
-    /// Hand-written AVX2 intrinsics (f64: mul+add for bit parity;
-    /// f32: FMA when the host has it).
+    /// Hand-written AVX2 intrinsics (separate mul+add, never FMA, for
+    /// bit parity with the scalar loops).
     Avx2 = 1,
 }
 
@@ -71,19 +70,6 @@ pub fn detected_kernel() -> KernelLevel {
         }
     }
     KernelLevel::Scalar
-}
-
-/// Whether the host has FMA (used only by the f32 kernels; the f64
-/// kernels never FMA, to preserve bit parity with the scalar fallback).
-pub fn detected_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// `ATLAS_FORCE_SCALAR` pins the scalar fallback when set to anything
@@ -141,15 +127,6 @@ pub fn kernel_label(level: KernelLevel) -> &'static str {
     }
 }
 
-/// Name of the f32 kernel variant the *active* level would run.
-pub fn f32_kernel_label() -> &'static str {
-    if active_kernel() == KernelLevel::Avx2 && detected_fma() {
-        "avx2+fma"
-    } else {
-        "scalar"
-    }
-}
-
 /// A summary of the host's relevant ISA extensions (independent of any
 /// override), so a bench report can attribute throughput to runner
 /// class: e.g. `"avx512f+avx2+fma"`, `"avx2"`, or `"baseline"`.
@@ -171,13 +148,6 @@ pub fn isa_label() -> &'static str {
     {
         "baseline"
     }
-}
-
-/// Whether the f32 kernels run their vector variant under the active
-/// level (requires AVX2 dispatch *and* host FMA).
-#[inline]
-pub(crate) fn f32_simd_active() -> bool {
-    active_kernel() == KernelLevel::Avx2 && detected_fma()
 }
 
 // ---------------------------------------------------------------------
@@ -520,198 +490,6 @@ unsafe fn axpy_f64_avx2(a: f64, src: &[f64], dst: &mut [f64]) {
     }
 }
 
-// ---------------------------------------------------------------------
-// f32 kernels (accuracy-delta family — FMA allowed)
-// ---------------------------------------------------------------------
-
-/// f32 4×8 register tile: `acc[r][c] += Σ_k a[r][k] · b[k·ldb + j + c]`.
-/// `simd` selects the AVX2+FMA variant ([`f32_simd_active`] decides).
-#[inline]
-pub(crate) fn tile4x8_f32(
-    simd: bool,
-    a: [&[f32]; 4],
-    b: &[f32],
-    ldb: usize,
-    j: usize,
-    acc: &mut [[f32; 8]; 4],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: shape preconditions from the blocked driver in
-        // `matrix32.rs`; AVX2+FMA availability from `f32_simd_active`.
-        unsafe { tile4x8_f32_fma(a, b, ldb, j, acc) };
-        return;
-    }
-    let _ = simd;
-    let [a0, a1, a2, a3] = a;
-    for ((((&a0k, &a1k), &a2k), &a3k), brow) in
-        a0.iter().zip(a1).zip(a2).zip(a3).zip(b.chunks_exact(ldb))
-    {
-        let b: &[f32; 8] = brow[j..j + 8].try_into().expect("tile width");
-        for c in 0..8 {
-            acc[0][c] += a0k * b[c];
-            acc[1][c] += a1k * b[c];
-            acc[2][c] += a2k * b[c];
-            acc[3][c] += a3k * b[c];
-        }
-    }
-}
-
-/// # Safety
-///
-/// Requires AVX2 and FMA. The four `a` rows must share one length `kd`,
-/// and `b.len() ≥ (kd-1)·ldb + j + 8`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tile4x8_f32_fma(
-    a: [&[f32]; 4],
-    b: &[f32],
-    ldb: usize,
-    j: usize,
-    acc: &mut [[f32; 8]; 4],
-) {
-    use std::arch::x86_64::*;
-    let kd = a[0].len();
-    debug_assert!(a.iter().all(|r| r.len() == kd));
-    debug_assert!(kd == 0 || b.len() >= (kd - 1) * ldb + j + 8);
-    let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
-    let bp = b.as_ptr();
-    for k in 0..kd {
-        let bv = _mm256_loadu_ps(bp.add(k * ldb + j));
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(*a[0].get_unchecked(k)), bv, c0);
-        c1 = _mm256_fmadd_ps(_mm256_set1_ps(*a[1].get_unchecked(k)), bv, c1);
-        c2 = _mm256_fmadd_ps(_mm256_set1_ps(*a[2].get_unchecked(k)), bv, c2);
-        c3 = _mm256_fmadd_ps(_mm256_set1_ps(*a[3].get_unchecked(k)), bv, c3);
-    }
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c3);
-}
-
-/// f32 shared-row 4×8 tile of the `selfᵀ × other` kernel.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tn_tile4x8_f32(
-    simd: bool,
-    a: &[f32],
-    b: &[f32],
-    ac: usize,
-    bc: usize,
-    i: usize,
-    j: usize,
-    acc: &mut [[f32; 8]; 4],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: shape preconditions from the blocked driver in
-        // `matrix32.rs`; AVX2+FMA availability from `f32_simd_active`.
-        unsafe { tn_tile4x8_f32_fma(a, b, ac, bc, i, j, acc) };
-        return;
-    }
-    let _ = simd;
-    for (arow, brow) in a.chunks_exact(ac).zip(b.chunks_exact(bc)) {
-        let a: &[f32; 4] = arow[i..i + 4].try_into().expect("tile height");
-        let b: &[f32; 8] = brow[j..j + 8].try_into().expect("tile width");
-        for c in 0..8 {
-            acc[0][c] += a[0] * b[c];
-            acc[1][c] += a[1] * b[c];
-            acc[2][c] += a[2] * b[c];
-            acc[3][c] += a[3] * b[c];
-        }
-    }
-}
-
-/// # Safety
-///
-/// Requires AVX2 and FMA. `a`/`b` must hold the same whole number of
-/// rows of `ac` / `bc` columns, with `i+4 ≤ ac` and `j+8 ≤ bc`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tn_tile4x8_f32_fma(
-    a: &[f32],
-    b: &[f32],
-    ac: usize,
-    bc: usize,
-    i: usize,
-    j: usize,
-    acc: &mut [[f32; 8]; 4],
-) {
-    use std::arch::x86_64::*;
-    let rows = a.len() / ac.max(1);
-    debug_assert!(b.len() >= rows * bc);
-    debug_assert!(i + 4 <= ac && j + 8 <= bc);
-    let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    for row in 0..rows {
-        let arow = ap.add(row * ac + i);
-        let bv = _mm256_loadu_ps(bp.add(row * bc + j));
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(*arow), bv, c0);
-        c1 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(1)), bv, c1);
-        c2 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(2)), bv, c2);
-        c3 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(3)), bv, c3);
-    }
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c3);
-}
-
-/// f32 `dst[c] += a · src[c]`.
-#[inline]
-pub(crate) fn axpy_f32(simd: bool, a: f32, src: &[f32], dst: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: slices carry their own lengths; AVX2+FMA availability
-        // from `f32_simd_active`.
-        unsafe { axpy_f32_fma(a, src, dst) };
-        return;
-    }
-    let _ = simd;
-    for (o, &s) in dst.iter_mut().zip(src) {
-        *o += a * s;
-    }
-}
-
-/// # Safety
-///
-/// Requires AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_f32_fma(a: f32, src: &[f32], dst: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = dst.len().min(src.len());
-    let av = _mm256_set1_ps(a);
-    let sp = src.as_ptr();
-    let dp = dst.as_mut_ptr();
-    let mut c = 0usize;
-    while c + 8 <= n {
-        let d = _mm256_loadu_ps(dp.add(c));
-        let s = _mm256_loadu_ps(sp.add(c));
-        _mm256_storeu_ps(dp.add(c), _mm256_fmadd_ps(av, s, d));
-        c += 8;
-    }
-    if c < n {
-        // Masked tail: live lanes below `n - c` run the same FMA as the
-        // vector body; dead lanes load zero and are never stored.
-        let live = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32((n - c) as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        );
-        let d = _mm256_maskload_ps(dp.add(c), live);
-        let s = _mm256_maskload_ps(sp.add(c), live);
-        _mm256_maskstore_ps(dp.add(c), live, _mm256_fmadd_ps(av, s, d));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,51 +588,6 @@ mod tests {
             axpy_f64(KernelLevel::Scalar, -0.37, &src, &mut scalar);
             axpy_f64(KernelLevel::Avx2, -0.37, &src, &mut vector);
             assert_eq!(scalar, vector, "len {n}");
-        }
-    }
-
-    #[test]
-    fn f32_kernels_agree_within_fma_tolerance() {
-        // The f32 vector variants may single-round (FMA), so the contract
-        // is closeness, not bit equality.
-        if detected_kernel() < KernelLevel::Avx2 || !detected_fma() {
-            return;
-        }
-        let kd = 33usize;
-        let rows: Vec<Vec<f32>> = (0..4)
-            .map(|r| seq(kd, 1.0 + r as f64).iter().map(|&v| v as f32).collect())
-            .collect();
-        let a = [
-            rows[0].as_slice(),
-            rows[1].as_slice(),
-            rows[2].as_slice(),
-            rows[3].as_slice(),
-        ];
-        let b: Vec<f32> = seq(kd * 8, 0.8).iter().map(|&v| v as f32).collect();
-        let mut scalar = [[0.0f32; 8]; 4];
-        let mut vector = scalar;
-        tile4x8_f32(false, a, &b, 8, 0, &mut scalar);
-        tile4x8_f32(true, a, &b, 8, 0, &mut vector);
-        for (sr, vr) in scalar.iter().zip(&vector) {
-            for (&s, &v) in sr.iter().zip(vr) {
-                assert!((s - v).abs() <= 1e-4 * (1.0 + s.abs()), "{s} vs {v}");
-            }
-        }
-
-        // Every masked-tail length (n mod 8 from 0 to 7) plus the empty
-        // and sub-width cases.
-        for n in [0usize, 1, 5, 8, 9, 16, 23, 37, 42, 63] {
-            let src: Vec<f32> = seq(n, 1.1).iter().map(|&v| v as f32).collect();
-            let mut s32: Vec<f32> = seq(n, 0.2).iter().map(|&v| v as f32).collect();
-            let mut v32 = s32.clone();
-            axpy_f32(false, 0.61, &src, &mut s32);
-            axpy_f32(true, 0.61, &src, &mut v32);
-            for (&s, &v) in s32.iter().zip(&v32) {
-                assert!(
-                    (s - v).abs() <= 1e-5 * (1.0 + s.abs()),
-                    "len {n}: {s} vs {v}"
-                );
-            }
         }
     }
 }

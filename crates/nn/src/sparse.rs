@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
-use crate::matrix32::Matrix32;
 use crate::simd;
 
 /// A symmetric, degree-normalized adjacency matrix in CSR form:
@@ -165,38 +164,6 @@ impl SparseAdj {
                     let xrow = x.row(base + c);
                     let orow = &mut out.as_mut_slice()[orow_start..orow_start + d];
                     simd::axpy_f64(level, w, xrow, orow);
-                }
-            }
-        }
-    }
-
-    /// f32 sibling of [`matmul_stacked_into`](Self::matmul_stacked_into)
-    /// for the reduced-precision inference path: the stored f64 adjacency
-    /// weights are narrowed per use, so one CSR serves both precisions
-    /// without a second copy of the graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != node_count() * blocks` or `out` is not
-    /// shaped like `x`.
-    pub fn matmul_stacked_f32_into(&self, x: &Matrix32, blocks: usize, out: &mut Matrix32) {
-        assert_eq!(x.rows(), self.n * blocks, "spmm shape mismatch");
-        assert_eq!(out.shape(), x.shape(), "spmm output shape mismatch");
-        let d = x.cols();
-        out.fill(0.0);
-        let simd_on = simd::f32_simd_active();
-        for b in 0..blocks {
-            let base = b * self.n;
-            for r in 0..self.n {
-                let start = self.row_ptr[r] as usize;
-                let end = self.row_ptr[r + 1] as usize;
-                let orow_start = (base + r) * d;
-                for e in start..end {
-                    let c = self.col_idx[e] as usize;
-                    let w = self.vals[e] as f32;
-                    let xrow = x.row(base + c);
-                    let orow = &mut out.as_mut_slice()[orow_start..orow_start + d];
-                    simd::axpy_f32(simd_on, w, xrow, orow);
                 }
             }
         }

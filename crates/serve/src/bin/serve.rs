@@ -27,10 +27,11 @@
 //! the pool fairly (`workers / hosted models`). `--workload-file PATH`
 //! makes the `register_workload` library durable: registrations append
 //! to the JSON-lines journal and are replayed at the next startup.
-//! `--precision f32` runs every hosted model's encoder at reduced
-//! precision: embeddings cost half the bytes, so the same `--cache-mb`
-//! budget holds twice the traces, at the f32 accuracy delta instead of
-//! bit parity.
+//! `--precision f32` stores every hosted model's cached embeddings as
+//! f32: the encoder still computes in f64 and each row is narrowed once,
+//! so entries cost half the bytes and the same `--cache-mb` budget holds
+//! twice the traces, at one f32 rounding of accuracy instead of bit
+//! parity with f64.
 //!
 //! In stdio mode each stdin line is a request and each stdout line the
 //! matching response; EOF shuts the service down. In TCP mode
@@ -154,8 +155,9 @@ fn parse_args() -> Result<Args, String> {
                      [--tcp ADDR] [--max-conns N] [--reactor-threads N] \
                      [--shard-id N] [--cache-snapshot PATH] | --list)\n\
                      SPEC is NAME, ALIAS=NAME, or ALIAS=PATH (an .atlas.json file)\n\
-                     --precision f32 halves embedding bytes (the --cache-mb budget \
-                     holds twice the traces) at the f32 accuracy delta\n\
+                     --precision f32 stores cached embedding rows as f32 (computed \
+                     in f64, then narrowed): half the bytes, so the --cache-mb budget \
+                     holds twice the traces\n\
                      --model-quota caps workers tied up in NAME's cold requests \
                      (default: workers / hosted models)\n\
                      --workload-file journals register_workload calls and replays \

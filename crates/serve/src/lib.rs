@@ -110,6 +110,6 @@ pub use registry::{ModelCatalog, ModelRegistry, RegistryError, SavedModel, FORMA
 pub use service::{
     parse_workload_journal, render_journal_entry, AtlasService, DeltaReply, DesignInfo, ModelInfo,
     ModelStats, RegisteredWorkload, Reply, ServiceConfig, ServiceStats, SnapshotRestoreReport,
-    WorkloadJournalEntry,
+    WorkloadJournalEntry, SNAPSHOT_FORMAT_VERSION,
 };
 pub use shard::{trace_route_key, ShardProxy, ShardRing};

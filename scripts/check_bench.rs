@@ -15,7 +15,7 @@
 //! # MAX_RATIO; the fresh batched-vs-per-cycle speedup must stay above
 //! # a floor; when the fresh run dispatched a SIMD kernel, its in-run
 //! # SIMD-over-scalar speedup must clear SIMD_SPEEDUP_FLOOR; and the
-//! # f32 path's accuracy delta must stay within its tolerance
+//! # f32-storage rows' accuracy delta must stay within its tolerance
 //! ./check_bench --infer BENCH_infer.json BENCH_infer.ci.json 2.0
 //! # shard gate: two shards behind the proxy must clear the scale-out
 //! # floor over one, a shard restarted from its cache snapshot must not
@@ -209,9 +209,9 @@ fn run() -> Result<(), String> {
             );
         }
 
-        // f32 accuracy gate: the reduced-precision path's worst relative
-        // delta against the f64 reference must stay within the tolerance
-        // the report itself declares (shared with the nn proptests).
+        // f32 accuracy gate: the f32-storage rows' worst relative delta
+        // against the f64 reference must stay within the tolerance the
+        // report itself declares (shared with the core model tests).
         let f32_delta = extract(&fresh, "gate", "f32_max_rel_delta")?;
         let f32_tolerance = extract(&fresh, "gate", "f32_tolerance")?;
         println!(

@@ -357,11 +357,15 @@ proptest! {
     /// Over any chain of edits — schedule swaps and cycle-count changes
     /// landing on and off the encoder's internal chunk boundaries —
     /// `predict_delta` against the previous step's trace is bit-identical
-    /// to a full recompute of the same target, at every step. Reuse is an
+    /// to a full recompute of the same target, at every step and at
+    /// either storage precision (both services share it). Reuse is an
     /// optimization only: it must never be observable in the numbers.
     #[test]
     fn predict_delta_chains_are_bit_identical_to_full_recompute(
         steps in proptest::collection::vec((0u8..3, 1usize..20), 1..5),
+        precision in (0u8..2).prop_map(|b| {
+            if b == 0 { atlas_core::Precision::F64 } else { atlas_core::Precision::F32 }
+        }),
     ) {
         use atlas_serve::{
             AtlasService, DeltaBase, PredictDeltaRequest, PredictRequest, ServiceConfig,
@@ -372,7 +376,7 @@ proptest! {
             AtlasService::start_with(
                 model.clone(),
                 cfg.clone(),
-                ServiceConfig { workers: 2, ..ServiceConfig::default() },
+                ServiceConfig { workers: 2, precision, ..ServiceConfig::default() },
             )
         };
         // One service answers the chain via deltas; a second recomputes
@@ -531,7 +535,9 @@ fn restore_respects_the_live_cache_budget() {
 #[test]
 fn cache_snapshot_roundtrip_is_bit_identical_and_corruption_is_skipped() {
     use atlas_core::pipeline::{train_atlas, ExperimentConfig};
-    use atlas_serve::{AtlasService, ModelRegistry, PredictRequest, ServiceConfig};
+    use atlas_serve::{
+        AtlasService, ModelRegistry, PredictRequest, ServiceConfig, SNAPSHOT_FORMAT_VERSION,
+    };
 
     let mut cfg = ExperimentConfig::quick();
     cfg.cycles = 16;
@@ -636,6 +642,34 @@ fn cache_snapshot_roundtrip_is_bit_identical_and_corruption_is_skipped() {
         1,
         "exactly the corrupted entry's key recomputes"
     );
+
+    // A snapshot from the previous format version (whose f32 rows came
+    // from a since-removed f32 encoder) is never served: every entry is
+    // skipped and every key recomputes cold.
+    let current = format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}");
+    let older = format!("\"format_version\":{}", SNAPSHOT_FORMAT_VERSION - 1);
+    let (header, body) = text.split_once('\n').expect("header line");
+    assert!(
+        header.contains(&current),
+        "header carries the snapshot version"
+    );
+    let stale = dir.join("stale.snapshot");
+    std::fs::write(
+        &stale,
+        format!("{}\n{body}", header.replace(&current, &older)),
+    )
+    .expect("stale writes");
+    let fourth = AtlasService::start(registry.load("snap").expect("loads"), svc_cfg());
+    let report = fourth.restore_cache(&stale);
+    assert_eq!(
+        report.restored, 0,
+        "an old-version snapshot restores nothing"
+    );
+    assert_eq!(report.skipped, keys.len(), "every entry is skipped");
+    let &(d, w, c) = &keys[0];
+    let resp = fourth.call(PredictRequest::new(d, w, c)).expect("predicts");
+    assert!(!resp.cache_hit, "a skipped entry recomputes cold");
+    assert_eq!(resp.per_cycle_total_w, originals[0].per_cycle_total_w);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
