@@ -33,12 +33,15 @@
 //! twice the traces, at one f32 rounding of accuracy instead of bit
 //! parity with f64.
 //!
-//! In stdio mode each stdin line is a request and each stdout line the
-//! matching response; EOF shuts the service down. In TCP mode
-//! `--reactor-threads N` epoll reactor threads (default 1) multiplex
-//! every connection — each with its own `SO_REUSEPORT` listener where
-//! the kernel allows it — so the whole process runs on
-//! `--workers + N + 1` OS threads regardless of connection count.
+//! Both transports hand every line to the one dispatcher, the reactor's
+//! `Frontend` implementation for `AtlasService`. In stdio mode
+//! `serve_lines` answers stdin's requests one at a time, in order, on
+//! stdout (a `sweep` streams its frames as items finish); EOF shuts the
+//! service down. In TCP mode `--reactor-threads N` epoll reactor
+//! threads (default 1) multiplex every connection — each with its own
+//! `SO_REUSEPORT` listener where the kernel allows it — so the whole
+//! process runs on `--workers + N + 1` OS threads regardless of
+//! connection count.
 //!
 //! `--shard-id N` stamps this process's identity in a shard fleet into
 //! its stats and snapshots (requests route through the `atlas-shard`
@@ -46,15 +49,12 @@
 //! the embedding cache: the file is restored (entry-by-entry validated,
 //! never fatal) before serving and rewritten when the process drains.
 
-use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use atlas_core::Precision;
-use atlas_serve::reactor::{ReactorConfig, ReactorPool};
-use atlas_serve::{
-    protocol, AtlasService, ModelCatalog, ModelRegistry, RequestLine, ServiceConfig,
-};
+use atlas_serve::reactor::{serve_lines, ReactorConfig, ReactorPool};
+use atlas_serve::{AtlasService, ModelCatalog, ModelRegistry, ServiceConfig};
 
 struct Args {
     registry: String,
@@ -279,10 +279,7 @@ fn main() -> ExitCode {
             args.max_conns,
             args.reactor_threads,
         ),
-        None => {
-            serve_stdio(&service);
-            ExitCode::SUCCESS
-        }
+        None => serve_stdio(&service),
     };
 
     // Drain: persist the warm cache so the next run of this shard can
@@ -296,188 +293,14 @@ fn main() -> ExitCode {
     code
 }
 
-/// One request line → one response line (the synchronous stdio path; the
-/// TCP path goes through the reactor instead).
-fn answer(service: &AtlasService, line: &str) -> String {
-    match protocol::parse_line(line) {
-        Ok(RequestLine::Predict(request)) => {
-            let id = request.id;
-            protocol::render_result(&service.call(request).map_err(|e| (id, e)))
+fn serve_stdio(service: &AtlasService) -> ExitCode {
+    let code = match serve_lines(service, std::io::stdin().lock(), std::io::stdout().lock()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: stdio: {e}");
+            ExitCode::FAILURE
         }
-        Ok(RequestLine::PredictDelta(request)) => {
-            let id = request.id;
-            protocol::render_delta_result(&service.call_delta(request).map_err(|e| (id, e)))
-        }
-        Ok(RequestLine::Sweep(request)) => answer_sweep(service, request),
-        Ok(RequestLine::Stats { id }) => {
-            protocol::render_stats(&protocol::stats_response(id, &service.stats()))
-        }
-        Ok(RequestLine::Models { id }) => protocol::render_line(&protocol::models_response(
-            id,
-            service.default_model(),
-            service.models(),
-        )),
-        Ok(RequestLine::LoadModel(req)) => match service.load_model_file(&req.name, &req.path) {
-            Ok(model) => protocol::render_line(&protocol::LoadModelResponse {
-                id: req.id,
-                verb: "load_model".to_owned(),
-                model,
-                default_model: service.default_model().to_owned(),
-            }),
-            Err(e) => protocol::render_result(&Err((req.id, e))),
-        },
-        Ok(RequestLine::UnloadModel(req)) => match service.unload_model(&req.name) {
-            Ok(()) => protocol::render_line(&protocol::UnloadModelResponse {
-                id: req.id,
-                verb: "unload_model".to_owned(),
-                name: req.name,
-            }),
-            Err(e) => protocol::render_result(&Err((req.id, e))),
-        },
-        Ok(RequestLine::Workloads { id }) => {
-            protocol::render_line(&protocol::workloads_response(id, service.workloads()))
-        }
-        Ok(RequestLine::RegisterWorkload(req)) => {
-            match service.register_workload(&req.name, req.phases) {
-                Ok((workload, replaced)) => {
-                    protocol::render_line(&protocol::RegisterWorkloadResponse {
-                        id: req.id,
-                        verb: "register_workload".to_owned(),
-                        workload,
-                        replaced,
-                    })
-                }
-                Err(e) => protocol::render_result(&Err((req.id, e))),
-            }
-        }
-        Ok(RequestLine::LoadDesign(req)) => match service.load_design(&req.name, &req.verilog) {
-            Ok(design) => protocol::render_line(&protocol::LoadDesignResponse {
-                id: req.id,
-                verb: "load_design".to_owned(),
-                design,
-            }),
-            Err(e) => protocol::render_result(&Err((req.id, e))),
-        },
-        Ok(RequestLine::ShardMap { id }) => protocol::render_line(&protocol::ShardMapResponse {
-            id,
-            verb: "shard_map".to_owned(),
-            shard_id: service.shard_id(),
-            shards: Vec::new(),
-        }),
-        Err(e) => protocol::render_result(&Err((protocol::salvage_id(line), e))),
-    }
-}
-
-/// The stdio spelling of a `sweep`: the exact frames the TCP reactor
-/// streams, joined into one multi-line response (stdio answers
-/// synchronously, so the items run in order instead of fanning out).
-fn answer_sweep(service: &AtlasService, request: protocol::SweepRequest) -> String {
-    let invalid = |msg: String| {
-        protocol::render_result(&Err((
-            request.id,
-            atlas_serve::ServeError::InvalidRequest(msg),
-        )))
     };
-    let items = request.items.len();
-    if items == 0 {
-        return invalid("a sweep needs at least one item".to_owned());
-    }
-    if items > protocol::MAX_SWEEP_ITEMS {
-        return invalid(format!(
-            "sweep has {items} items, limit is {}",
-            protocol::MAX_SWEEP_ITEMS
-        ));
-    }
-    let chunk = request
-        .chunk_cycles
-        .unwrap_or(protocol::DEFAULT_SERIES_CHUNK)
-        .clamp(1, protocol::MAX_SERIES_CHUNK);
-    let started = std::time::Instant::now();
-    let mut frames = vec![protocol::render_line(&protocol::SweepStartFrame {
-        id: request.id,
-        verb: "sweep".to_owned(),
-        frame: "start".to_owned(),
-        items,
-    })];
-    let mut errors = 0usize;
-    for (item, spec) in request.items.into_iter().enumerate() {
-        let predict = protocol::PredictRequest {
-            id: request.id,
-            model: request.model.clone(),
-            design: request.design.clone(),
-            workload: spec.workload,
-            workload_name: spec.workload_name,
-            cycles: request.cycles,
-            phases: spec.phases,
-        };
-        match service.call(predict) {
-            Ok(response) => {
-                frames.push(protocol::render_line(&protocol::SweepItemFrame {
-                    id: request.id,
-                    verb: "sweep".to_owned(),
-                    frame: "item".to_owned(),
-                    item,
-                    workload: response.workload,
-                    cache_hit: response.cache_hit,
-                    design_cache_hit: response.design_cache_hit,
-                    mean_total_w: response.mean_total_w,
-                    peak_total_w: response.peak_total_w,
-                    groups: response.groups,
-                }));
-                let series = response.per_cycle_total_w;
-                let total_cycles = series.len();
-                let mut offset = 0;
-                while offset < total_cycles {
-                    let end = (offset + chunk).min(total_cycles);
-                    frames.push(protocol::render_line(&protocol::SweepSeriesFrame {
-                        id: request.id,
-                        verb: "sweep".to_owned(),
-                        frame: "series".to_owned(),
-                        item,
-                        offset,
-                        total_cycles,
-                        per_cycle_total_w: series[offset..end].to_vec(),
-                    }));
-                    offset = end;
-                }
-            }
-            Err(e) => {
-                errors += 1;
-                frames.push(protocol::render_line(&protocol::SweepErrorFrame {
-                    id: request.id,
-                    verb: "sweep".to_owned(),
-                    frame: "error".to_owned(),
-                    item,
-                    error: e.to_string(),
-                    kind: e.kind().to_owned(),
-                }));
-            }
-        }
-    }
-    frames.push(protocol::render_line(&protocol::SweepEndFrame {
-        id: request.id,
-        verb: "sweep".to_owned(),
-        frame: "end".to_owned(),
-        items,
-        errors,
-        latency_ms: started.elapsed().as_secs_f64() * 1e3,
-    }));
-    frames.join("\n")
-}
-
-fn serve_stdio(service: &AtlasService) {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = answer(service, &line);
-        let mut out = stdout.lock();
-        let _ = writeln!(out, "{response}");
-        let _ = out.flush();
-    }
     let stats = service.stats();
     eprintln!(
         "served {} requests ({} errors); embedding cache {}/{} hits, {}/{} bytes",
@@ -498,6 +321,7 @@ fn serve_stdio(service: &AtlasService) {
             m.embedding_cache.budget,
         );
     }
+    code
 }
 
 fn serve_tcp(service: Arc<AtlasService>, addr: &str, max_conns: usize, threads: usize) -> ExitCode {

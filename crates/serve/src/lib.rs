@@ -27,7 +27,10 @@
 //!   listener, connection table, and wakeup, multiplex thousands of
 //!   connections with per-connection back-pressure, so idle clients
 //!   cost buffers instead of threads; any [`reactor::Frontend`] can sit
-//!   behind it;
+//!   behind it, and [`reactor::serve_lines`] drives the same
+//!   `Frontend` over a blocking line stream (the `serve` binary's stdio
+//!   mode), so every verb has one dispatcher whichever transport
+//!   carries it;
 //! * [`shard`] — horizontal scale-out: a consistent-hash ring routing
 //!   trace keys across N serve processes, and the [`shard::ShardProxy`]
 //!   frontend the `atlas-shard` binary serves (warm-start cache
@@ -36,9 +39,9 @@
 //!   [`AtlasService::restore_cache`](service::AtlasService::restore_cache));
 //! * [`protocol`] — the JSON-lines request/response wire format spoken
 //!   over stdin/stdout or TCP by the `serve` binary: the `predict`,
-//!   `stats`, `models`, `load_model`, `unload_model`,
-//!   `register_workload`, `workloads`, `load_design`, and `shard_map`
-//!   verbs (full reference in `docs/PROTOCOL.md`);
+//!   `predict_delta`, `sweep`, `stats`, `models`, `load_model`,
+//!   `unload_model`, `register_workload`, `workloads`, `load_design`,
+//!   and `shard_map` verbs (full reference in `docs/PROTOCOL.md`);
 //! * [`error`] — typed errors ([`ServeError`]) replacing the panics of
 //!   the batch drivers.
 //!

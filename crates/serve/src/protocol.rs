@@ -692,15 +692,7 @@ pub fn delta_response(
 pub fn render_delta_result(
     result: &Result<PredictDeltaResponse, (Option<u64>, ServeError)>,
 ) -> String {
-    let rendered = match result {
-        Ok(response) => serde_json::to_string(response),
-        Err((id, error)) => serde_json::to_string(&ErrorResponse {
-            id: *id,
-            error: error.to_string(),
-            kind: error.kind().to_owned(),
-        }),
-    };
-    rendered.unwrap_or_else(|e| format!(r#"{{"error":"render failure: {e}","kind":"internal"}}"#))
+    render_reply(result)
 }
 
 /// First frame of a `sweep` reply: announces how many `item` results
@@ -971,6 +963,11 @@ pub fn render_stats(response: &StatsResponse) -> String {
 
 /// Render one response line (no trailing newline).
 pub fn render_result(result: &Result<PredictResponse, (Option<u64>, ServeError)>) -> String {
+    render_reply(result)
+}
+
+/// Render a response, or its typed error echoing the request id.
+pub(crate) fn render_reply<T: Serialize>(result: &Result<T, (Option<u64>, ServeError)>) -> String {
     let rendered = match result {
         Ok(response) => serde_json::to_string(response),
         Err((id, error)) => serde_json::to_string(&ErrorResponse {

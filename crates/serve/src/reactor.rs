@@ -11,8 +11,9 @@
 //!   pair, not a thread;
 //! * complete JSON lines are parsed on the reactor thread and handed to
 //!   a [`Frontend`] — for [`AtlasService`] that means predictions go to
-//!   the worker pool via `submit_with`; the worker's reply is queued and
-//!   the owning reactor is woken through its `eventfd` to write it out;
+//!   the worker pool via [`AtlasService::submit_with`]; the worker's
+//!   reply is queued and the owning reactor is woken through its
+//!   `eventfd` to write it out;
 //! * **back-pressure**: a connection that stops reading its responses
 //!   (write buffer above [`ReactorConfig::write_high_water`]) or floods
 //!   requests (more than [`ReactorConfig::max_inflight`] outstanding)
@@ -44,6 +45,10 @@
 //! The `stats` protocol verb is answered inline on the reactor thread —
 //! it is a counter snapshot and never needs a worker.
 //!
+//! The `serve` binary's stdio mode drives the same [`Frontend`] through
+//! [`serve_lines`], a blocking loop with no reactor thread, so every
+//! verb has one implementation whichever transport carries it.
+//!
 //! # Why raw syscalls?
 //!
 //! The build environment has no registry access (see `vendor/`), so
@@ -56,13 +61,14 @@
 //! available.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
+use crate::error::ServeError;
 use crate::protocol::{self, ErrorResponse, RequestLine};
 use crate::service::AtlasService;
 
@@ -364,12 +370,31 @@ struct Completions {
 }
 
 impl Completions {
+    fn new() -> io::Result<Completions> {
+        Ok(Completions {
+            queue: Mutex::new(Vec::new()),
+            wake: sys::new_eventfd()?,
+            shutdown: AtomicBool::new(false),
+        })
+    }
+
     fn push(&self, token: u64, line: String, last: bool) {
         self.queue
             .lock()
             .expect("completion lock")
             .push(Completion { token, line, last });
         sys::eventfd_signal(self.wake.0);
+    }
+
+    /// Register the wakeup eventfd with the epoll instance `ep`.
+    fn watch(&self, ep: &sys::OwnedFd) -> io::Result<()> {
+        sys::ctl(
+            ep.0,
+            sys::EPOLL_CTL_ADD,
+            self.wake.0,
+            sys::EPOLLIN,
+            TOKEN_WAKE,
+        )
     }
 
     fn drain(&self) -> Vec<Completion> {
@@ -382,17 +407,39 @@ impl Completions {
 /// by [`Frontend::handle`] when the reply will come from another thread
 /// (a worker, a proxy backend reader); completing it queues the line
 /// and wakes the reactor that owns the connection.
+///
+/// Every completer answers exactly once: one dropped without its final
+/// line (a worker that died, a job discarded at shutdown) answers a
+/// `shutdown` error echoing its request id, so no request stays in
+/// flight forever.
 pub struct Completer {
     token: u64,
+    /// The client's request id, echoed by [`Completer::fail`].
+    id: Option<u64>,
     completions: Arc<Completions>,
+    /// Set once the final line is queued.
+    answered: AtomicBool,
 }
 
 impl Completer {
+    /// The client's id of the request this completer answers.
+    pub fn id(&self) -> Option<u64> {
+        self.id
+    }
+
     /// Queue `line` as the final reply and wake the owning reactor. The
     /// request leaves the connection's in-flight count when the line is
     /// delivered.
     pub fn complete(&self, line: String) {
+        // Relaxed: only `drop` reads the flag, through `&mut self`, which
+        // already orders it after every completing thread.
+        self.answered.store(true, Ordering::Relaxed);
         self.completions.push(self.token, line, true);
+    }
+
+    /// Complete with a typed error reply echoing the request id.
+    pub fn fail(&self, error: ServeError) {
+        self.complete(protocol::render_result(&Err((self.id, error))));
     }
 
     /// Queue `line` as one intermediate frame of a streamed reply
@@ -404,6 +451,14 @@ impl Completer {
     }
 }
 
+impl Drop for Completer {
+    fn drop(&mut self) {
+        if !*self.answered.get_mut() {
+            self.fail(ServeError::Shutdown);
+        }
+    }
+}
+
 /// Build a completer detached from any reactor, for crate-internal
 /// tests that need a [`Completer`] to satisfy an API (its lines land in
 /// a private queue nobody drains).
@@ -411,11 +466,9 @@ impl Completer {
 pub(crate) fn test_completer() -> Completer {
     Completer {
         token: 0,
-        completions: Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            wake: sys::new_eventfd().expect("eventfd"),
-            shutdown: AtomicBool::new(false),
-        }),
+        id: None,
+        completions: Arc::new(Completions::new().expect("eventfd")),
+        answered: AtomicBool::new(false),
     }
 }
 
@@ -455,11 +508,14 @@ pub struct FrontendContext<'a> {
 }
 
 impl FrontendContext<'_> {
-    /// An owned ticket for replying to this request from another thread.
-    pub fn completer(&self) -> Completer {
+    /// An owned ticket for replying to this request, whose client id is
+    /// `id`, from another thread.
+    pub fn completer(&self, id: Option<u64>) -> Completer {
         Completer {
             token: self.token,
+            id,
             completions: Arc::clone(self.completions),
+            answered: AtomicBool::new(false),
         }
     }
 
@@ -474,9 +530,10 @@ impl FrontendContext<'_> {
     }
 }
 
-/// What a reactor serves: one request line in, one reply line out.
+/// What a reactor (or [`serve_lines`]) serves: one request line in, one
+/// reply line out.
 ///
-/// Return `Some(reply)` to answer inline on the reactor thread (counter
+/// Return `Some(reply)` to answer inline on the calling thread (counter
 /// snapshots, control-plane verbs, parse errors). Return `None` after
 /// arranging for a [`Completer`] taken from the context to be completed
 /// elsewhere — the reactor then counts the request as in-flight for
@@ -603,11 +660,7 @@ impl Reactor {
         counters: Arc<Counters>,
         registry: ReactorRegistry,
     ) -> io::Result<Reactor> {
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            wake: sys::new_eventfd()?,
-            shutdown: AtomicBool::new(false),
-        });
+        let completions = Arc::new(Completions::new()?);
         Ok(Reactor {
             frontend,
             listener,
@@ -924,13 +977,7 @@ impl Loop {
             sys::EPOLLIN,
             TOKEN_LISTENER,
         )?;
-        sys::ctl(
-            ep.0,
-            sys::EPOLL_CTL_ADD,
-            reactor.completions.wake.0,
-            sys::EPOLLIN,
-            TOKEN_WAKE,
-        )?;
+        reactor.completions.watch(&ep)?;
         Ok(Loop {
             frontend: reactor.frontend,
             registry: reactor.registry,
@@ -1124,38 +1171,22 @@ impl Loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return false;
             };
-            let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') else {
-                if conn.rbuf.len() > self.cfg.max_line_bytes {
-                    // Framing is unrecoverable; answer and close.
-                    let line = protocol::render_result(&Err((
-                        None,
-                        crate::error::ServeError::InvalidRequest(format!(
-                            "request line exceeds {} bytes",
-                            self.cfg.max_line_bytes
-                        )),
-                    )));
-                    self.queue_line(token, line);
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.read_closed = true;
-                        conn.rbuf.clear();
-                        if conn.inflight == 0 && conn.pending_bytes() == 0 {
-                            self.close_conn(token);
-                            return false;
-                        }
-                        self.update_interest(token);
+            match split_line(&mut conn.rbuf, self.cfg.max_line_bytes) {
+                Ok(Some(line)) => {
+                    self.dispatch(token, &line);
+                    if !self.conns.contains_key(&token) {
+                        return false;
                     }
+                }
+                Ok(None) => return true,
+                Err(reply) => {
+                    // Framing is unrecoverable: answer, read no more, and
+                    // let `flush` close the connection once it is idle.
+                    conn.read_closed = true;
+                    conn.rbuf.clear();
+                    self.queue_line(token, reply);
                     return false;
                 }
-                return true;
-            };
-            let line_bytes: Vec<u8> = conn.rbuf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..nl]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            self.dispatch(token, &line);
-            if !self.conns.contains_key(&token) {
-                return false;
             }
         }
     }
@@ -1325,6 +1356,95 @@ fn count_newlines(bytes: &[u8]) -> u64 {
     bytes.iter().filter(|&&b| b == b'\n').count() as u64
 }
 
+/// Split the next request line off the front of `buf` — the framing
+/// every transport shares. Blank lines are skipped and bytes decode
+/// lossily. `Ok(None)` means no complete line yet. `Err(reply)` means
+/// the next line is longer than `max_line_bytes`, however it was read:
+/// the framing is unrecoverable, so the caller writes `reply` and reads
+/// no more.
+fn split_line(buf: &mut Vec<u8>, max_line_bytes: usize) -> Result<Option<String>, String> {
+    loop {
+        let newline = buf.iter().position(|&b| b == b'\n');
+        if newline.unwrap_or(buf.len()) > max_line_bytes {
+            let error =
+                ServeError::InvalidRequest(format!("request line exceeds {max_line_bytes} bytes"));
+            return Err(protocol::render_result(&Err((None, error))));
+        }
+        let Some(nl) = newline else {
+            return Ok(None);
+        };
+        let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
+        buf.drain(..=nl);
+        if !line.trim().is_empty() {
+            return Ok(Some(line));
+        }
+    }
+}
+
+/// Serve a blocking line stream (the `serve` binary's stdio mode)
+/// through the same [`Frontend`] a reactor drives, one request at a
+/// time and in order: an inline reply is written at once, otherwise each
+/// streamed frame as it arrives, through the final line. Lines are
+/// framed as on a TCP connection, so a line over
+/// [`ReactorConfig::max_line_bytes`] answers `invalid_request` and ends
+/// the session. `stats` reports `reactor_threads: 0`.
+///
+/// # Errors
+///
+/// Stream I/O failures, and eventfd or epoll failures.
+pub fn serve_lines(
+    frontend: &dyn Frontend,
+    mut input: impl BufRead,
+    mut output: impl Write,
+) -> io::Result<()> {
+    let completions = Arc::new(Completions::new()?);
+    let ep = sys::epoll_create()?;
+    completions.watch(&ep)?;
+    let registry = ReactorRegistry::new(Vec::new());
+    let ctx = FrontendContext {
+        token: FIRST_CONN_TOKEN,
+        completions: &completions,
+        registry: &registry,
+    };
+    let max_line_bytes = ReactorConfig::default().max_line_bytes;
+    let mut events = [sys::EpollEvent { events: 0, data: 0 }; 1];
+    let mut buf = Vec::new();
+    loop {
+        // One line per read, capped just past the limit so an over-long
+        // line is refused without buffering all of it.
+        let cap = (max_line_bytes + 2 - buf.len()) as u64;
+        if input.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
+            if buf.is_empty() {
+                return Ok(());
+            }
+            buf.push(b'\n'); // serve an unterminated last line
+        }
+        let line = match split_line(&mut buf, max_line_bytes) {
+            Ok(Some(line)) => line,
+            Ok(None) => continue,
+            Err(reply) => {
+                writeln!(output, "{reply}")?;
+                return output.flush();
+            }
+        };
+        match frontend.handle(&line, &ctx) {
+            Some(reply) => writeln!(output, "{reply}")?,
+            None => loop {
+                let batch = completions.drain();
+                for c in &batch {
+                    writeln!(output, "{}", c.line)?;
+                }
+                if batch.iter().any(|c| c.last) {
+                    break;
+                }
+                output.flush()?;
+                sys::wait(ep.0, &mut events, -1)?;
+            },
+        }
+        output.flush()?;
+    }
+}
+
 /// The service behind the front door: predictions to the worker pool
 /// (replied through the [`Completer`]); `stats`, `models`,
 /// `load_model`, `unload_model`, `register_workload`, `workloads`,
@@ -1337,14 +1457,14 @@ impl Frontend for AtlasService {
     fn handle(&self, line: &str, ctx: &FrontendContext<'_>) -> Option<String> {
         match protocol::parse_line(line) {
             Ok(RequestLine::Predict(request)) => {
-                let completer = ctx.completer();
+                let completer = ctx.completer(request.id);
                 self.submit_with(request, move |reply| {
                     completer.complete(protocol::render_result(&reply));
                 });
                 None
             }
             Ok(RequestLine::PredictDelta(request)) => {
-                let completer = ctx.completer();
+                let completer = ctx.completer(request.id);
                 self.submit_delta_with(request, move |reply| {
                     completer.complete(protocol::render_delta_result(&reply));
                 });
@@ -1371,63 +1491,61 @@ impl Frontend for AtlasService {
                     shards: Vec::new(),
                 }))
             }
-            Ok(RequestLine::LoadModel(req)) => {
-                let line = match self.load_model_file(&req.name, &req.path) {
-                    Ok(model) => protocol::render_line(&protocol::LoadModelResponse {
+            Ok(RequestLine::LoadModel(req)) => inline(
+                req.id,
+                self.load_model_file(&req.name, &req.path).map(|model| {
+                    protocol::LoadModelResponse {
                         id: req.id,
                         verb: "load_model".to_owned(),
                         model,
                         default_model: self.default_model().to_owned(),
-                    }),
-                    Err(e) => protocol::render_result(&Err((req.id, e))),
-                };
-                Some(line)
-            }
-            Ok(RequestLine::UnloadModel(req)) => {
-                let line = match self.unload_model(&req.name) {
-                    Ok(()) => protocol::render_line(&protocol::UnloadModelResponse {
+                    }
+                }),
+            ),
+            Ok(RequestLine::UnloadModel(req)) => inline(
+                req.id,
+                self.unload_model(&req.name)
+                    .map(|()| protocol::UnloadModelResponse {
                         id: req.id,
                         verb: "unload_model".to_owned(),
                         name: req.name,
                     }),
-                    Err(e) => protocol::render_result(&Err((req.id, e))),
-                };
-                Some(line)
-            }
+            ),
             Ok(RequestLine::Workloads { id }) => Some(protocol::render_line(
                 &protocol::workloads_response(id, self.workloads()),
             )),
-            Ok(RequestLine::RegisterWorkload(req)) => {
-                let line = match self.register_workload(&req.name, req.phases) {
-                    Ok((workload, replaced)) => {
-                        protocol::render_line(&protocol::RegisterWorkloadResponse {
-                            id: req.id,
-                            verb: "register_workload".to_owned(),
-                            workload,
-                            replaced,
-                        })
-                    }
-                    Err(e) => protocol::render_result(&Err((req.id, e))),
-                };
-                Some(line)
-            }
-            Ok(RequestLine::LoadDesign(req)) => {
-                let line = match self.load_design(&req.name, &req.verilog) {
-                    Ok(design) => protocol::render_line(&protocol::LoadDesignResponse {
+            Ok(RequestLine::RegisterWorkload(req)) => inline(
+                req.id,
+                self.register_workload(&req.name, req.phases)
+                    .map(|(workload, replaced)| protocol::RegisterWorkloadResponse {
+                        id: req.id,
+                        verb: "register_workload".to_owned(),
+                        workload,
+                        replaced,
+                    }),
+            ),
+            Ok(RequestLine::LoadDesign(req)) => inline(
+                req.id,
+                self.load_design(&req.name, &req.verilog).map(|design| {
+                    protocol::LoadDesignResponse {
                         id: req.id,
                         verb: "load_design".to_owned(),
                         design,
-                    }),
-                    Err(e) => protocol::render_result(&Err((req.id, e))),
-                };
-                Some(line)
-            }
-            Err(e) => {
-                let id = protocol::salvage_id(line);
-                Some(protocol::render_result(&Err((id, e))))
-            }
+                    }
+                }),
+            ),
+            Err(e) => Some(protocol::render_result(&Err((
+                protocol::salvage_id(line),
+                e,
+            )))),
         }
     }
+}
+
+/// Render an inline verb's reply: its response line, or its typed error
+/// echoing `id`.
+fn inline<T: serde::Serialize>(id: Option<u64>, result: Result<T, ServeError>) -> Option<String> {
+    Some(protocol::render_reply(&result.map_err(|e| (id, e))))
 }
 
 /// Run one `sweep` request: fan its items out to the worker pool and
@@ -1449,7 +1567,7 @@ fn sweep(
     let invalid = |msg: String| {
         Some(protocol::render_result(&Err((
             request.id,
-            crate::error::ServeError::InvalidRequest(msg),
+            ServeError::InvalidRequest(msg),
         ))))
     };
     let items = request.items.len();
@@ -1466,7 +1584,7 @@ fn sweep(
         .chunk_cycles
         .unwrap_or(protocol::DEFAULT_SERIES_CHUNK)
         .clamp(1, protocol::MAX_SERIES_CHUNK);
-    let completer = Arc::new(ctx.completer());
+    let completer = Arc::new(ctx.completer(request.id));
     completer.stream(protocol::render_line(&protocol::SweepStartFrame {
         id: request.id,
         verb: "sweep".to_owned(),
@@ -1505,21 +1623,17 @@ fn sweep(
                         peak_total_w: response.peak_total_w,
                         groups: response.groups,
                     }));
-                    let series = response.per_cycle_total_w;
-                    let total_cycles = series.len();
-                    let mut offset = 0;
-                    while offset < total_cycles {
-                        let end = (offset + chunk).min(total_cycles);
+                    let total_cycles = response.per_cycle_total_w.len();
+                    for (k, values) in response.per_cycle_total_w.chunks(chunk).enumerate() {
                         completer.stream(protocol::render_line(&protocol::SweepSeriesFrame {
                             id,
                             verb: "sweep".to_owned(),
                             frame: "series".to_owned(),
                             item,
-                            offset,
+                            offset: k * chunk,
                             total_cycles,
-                            per_cycle_total_w: series[offset..end].to_vec(),
+                            per_cycle_total_w: values.to_vec(),
                         }));
-                        offset = end;
                     }
                 }
                 Err((_, e)) => {
@@ -2195,6 +2309,207 @@ mod tests {
             "flooding past max_inflight must trip back-pressure"
         );
         handle.shutdown().expect("clean shutdown");
+    }
+
+    /// A frontend that drops the completer of every `"verb":"drop"`
+    /// request unanswered and answers every other request from another
+    /// thread.
+    struct DropStub;
+
+    impl Frontend for DropStub {
+        fn handle(&self, line: &str, ctx: &FrontendContext<'_>) -> Option<String> {
+            let id = protocol::salvage_id(line);
+            let completer = ctx.completer(id);
+            if !line.contains(r#""verb":"drop""#) {
+                thread::spawn(move || {
+                    completer.complete(format!(r#"{{"id":{},"ok":true}}"#, id.unwrap_or(0)));
+                });
+            }
+            None
+        }
+    }
+
+    /// Assert `lines` are exactly one `shutdown` error for id 1 followed
+    /// by the answer to id 2.
+    fn assert_shutdown_then_served(lines: &[String]) {
+        assert_eq!(lines.len(), 2, "got: {lines:?}");
+        let dropped: Value = serde_json::from_str(&lines[0]).expect("parses");
+        assert_eq!(field_str(&dropped, "kind"), "shutdown", "got: {}", lines[0]);
+        assert_eq!(field_u64(&dropped, "id"), 1);
+        let served: Value = serde_json::from_str(&lines[1]).expect("parses");
+        assert_eq!(field_u64(&served, "id"), 2, "got: {}", lines[1]);
+    }
+
+    #[test]
+    fn dropped_completer_answers_shutdown_once() {
+        let requests = "{\"id\":1,\"verb\":\"drop\"}\n{\"id\":2,\"verb\":\"echo\"}\n";
+
+        let handle = Reactor::bind(Arc::new(DropStub), "127.0.0.1:0", ReactorConfig::default())
+            .expect("binds")
+            .spawn()
+            .expect("spawns");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        stream.write_all(requests.as_bytes()).expect("writes");
+        let tcp = vec![read_line(&mut reader), read_line(&mut reader)];
+        assert_shutdown_then_served(&tcp);
+        // Both requests left the in-flight count: the connection closes
+        // cleanly once the client does.
+        drop(stream);
+        drop(reader);
+        wait_until(|| handle.stats().closed == 1);
+        handle.shutdown().expect("clean shutdown");
+
+        let mut out = Vec::new();
+        serve_lines(&DropStub, requests.as_bytes(), &mut out).expect("stdio session");
+        let stdio: Vec<String> = out.lines().map(|l| l.expect("utf-8")).collect();
+        assert_shutdown_then_served(&stdio);
+    }
+
+    /// Read one reply: a single line, or every frame of a sweep through
+    /// its `end` frame.
+    fn read_reply(reader: &mut impl BufRead) -> Vec<String> {
+        let mut reply = Vec::new();
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("reads a line");
+            let value: Value = serde_json::from_str(&line).expect("every reply line is JSON");
+            let frame = field_str(&value, "frame").to_owned();
+            reply.push(line.trim_end().to_owned());
+            if frame.is_empty() || frame == "end" {
+                return reply;
+            }
+        }
+    }
+
+    /// A reply with the fields that may differ by transport or timing
+    /// removed (`latency_ms`, and the reactor fields of `stats`), and
+    /// sweep frames stably ordered by item, since items stream in
+    /// completion order.
+    fn normalize(reply: &[String]) -> Vec<String> {
+        let mut frames: Vec<(u64, String)> = reply
+            .iter()
+            .map(|line| {
+                let mut value: Value = serde_json::from_str(line).expect("parses");
+                if let Value::Map(entries) = &mut value {
+                    entries.retain(|(k, _)| {
+                        !matches!(k.as_str(), "latency_ms" | "reactor_threads" | "reactors")
+                    });
+                }
+                let item = match field_str(&value, "frame") {
+                    "start" => 0,
+                    "end" => u64::MAX,
+                    _ => field_u64(&value, "item").saturating_add(1),
+                };
+                (item, serde_json::to_string(&value).expect("renders"))
+            })
+            .collect();
+        frames.sort_by_key(|(item, _)| *item);
+        frames.into_iter().map(|(_, line)| line).collect()
+    }
+
+    /// The same session over stdio and TCP, on two fresh identical
+    /// services, gets the same replies. The stdio run then ends with an
+    /// over-long line: it is answered with `invalid_request` and nothing
+    /// after it is read.
+    #[test]
+    fn stdio_and_tcp_answer_one_session_identically() {
+        use atlas_liberty::{CellClass, Drive};
+        use atlas_netlist::NetlistBuilder;
+
+        let (model, cfg) = micro_trained();
+        let start = || {
+            Arc::new(AtlasService::start_with(
+                model.clone(),
+                cfg.clone(),
+                ServiceConfig {
+                    workers: 2,
+                    ..ServiceConfig::default()
+                },
+            ))
+        };
+        let mut b = NetlistBuilder::new("parity");
+        let sm = b.add_submodule("top.u0", "top");
+        let a = b.add_input();
+        let c = b.add_input();
+        let x = b
+            .add_cell(CellClass::Nor2, Drive::X1, &[a, c], sm)
+            .expect("ok");
+        let q = b.add_dff(x, sm).expect("ok");
+        b.mark_output(q);
+        let verilog = b.finish().expect("valid").to_verilog();
+        let body = serde_json::to_string(&verilog).expect("escapes");
+
+        let session: Vec<Vec<u8>> = vec![
+            br#"{"id":1,"design":"C2","workload":"W1","cycles":6}"#.to_vec(),
+            br#"{"id":2,"design":"C2","workload":"W1","cycles":6}"#.to_vec(),
+            br#"{"id":3,"design":"C9","workload":"W1","cycles":6}"#.to_vec(),
+            b"not json".to_vec(),
+            // Not UTF-8: decoded lossily and refused, the session goes on.
+            b"{\"id\":4,\"design\":\"\xff\xfe\"}".to_vec(),
+            br#"{"id":5,"verb":"models"}"#.to_vec(),
+            br#"{"id":6,"verb":"register_workload","name":"spiky","phases":[{"activity":0.6,"min_len":1,"max_len":3}]}"#.to_vec(),
+            br#"{"id":7,"verb":"workloads"}"#.to_vec(),
+            format!(r#"{{"id":8,"verb":"load_design","name":"parity","verilog":{body}}}"#)
+                .into_bytes(),
+            br#"{"id":9,"verb":"predict_delta","design":"C2","workload":"W1","cycles":9,"base":{"cycles":6}}"#.to_vec(),
+            br#"{"id":10,"verb":"sweep","design":"C2","cycles":6,"chunk_cycles":4,"items":[{"workload":"W1"},{"workload":"W2"}]}"#.to_vec(),
+            br#"{"id":11,"verb":"shard_map"}"#.to_vec(),
+            br#"{"id":12,"verb":"stats"}"#.to_vec(),
+        ];
+
+        let handle = spawn_reactor(start(), ReactorConfig::default());
+        let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let tcp: Vec<Vec<String>> = session
+            .iter()
+            .map(|line| {
+                stream.write_all(line).expect("writes");
+                stream.write_all(b"\n").expect("writes");
+                read_reply(&mut reader)
+            })
+            .collect();
+        handle.shutdown().expect("clean shutdown");
+
+        let max_line_bytes = ReactorConfig::default().max_line_bytes;
+        let mut input = session.join(&b'\n');
+        input.push(b'\n');
+        input.resize(input.len() + max_line_bytes + 1, b'x');
+        input.extend_from_slice(b"\n{\"id\":13,\"verb\":\"stats\"}\n");
+        let mut out = Vec::new();
+        serve_lines(&*start(), &input[..], &mut out).expect("stdio session");
+        let mut out = &out[..];
+        let stdio: Vec<Vec<String>> = session.iter().map(|_| read_reply(&mut out)).collect();
+        let rest: Vec<String> = out.lines().map(|l| l.expect("utf-8")).collect();
+        assert_eq!(rest.len(), 1, "nothing after the over-long line: {rest:?}");
+        let refused: Value = serde_json::from_str(&rest[0]).expect("parses");
+        assert_eq!(field_str(&refused, "kind"), "invalid_request");
+        assert!(rest[0].contains("exceeds"), "got: {}", rest[0]);
+
+        assert!(
+            tcp[1][0].contains(r#""cache_hit":true"#),
+            "got: {:?}",
+            tcp[1]
+        );
+        assert!(tcp[4][0].contains("invalid_request"), "got: {:?}", tcp[4]);
+        assert!(
+            tcp[8][0].contains(r#""verb":"load_design""#),
+            "got: {:?}",
+            tcp[8]
+        );
+        assert!(
+            tcp[9][0].contains(r#""base_hit":true"#),
+            "got: {:?}",
+            tcp[9]
+        );
+        assert_eq!(
+            tcp[10].len(),
+            1 + 2 * 3 + 1,
+            "start, 2 × (item + 2 series), end"
+        );
+        for (i, (t, s)) in tcp.iter().zip(&stdio).enumerate() {
+            assert_eq!(normalize(t), normalize(s), "reply {i} differs by transport");
+        }
     }
 
     fn wait_until(mut cond: impl FnMut() -> bool) {

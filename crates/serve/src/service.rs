@@ -564,30 +564,9 @@ impl Outcome {
     }
 }
 
-/// Where a finished reply goes: a blocking channel ([`AtlasService::submit`]),
-/// a callback invoked on the worker thread ([`AtlasService::submit_with`],
-/// the reactor's non-blocking path), or the delta-shaped callback of
-/// [`AtlasService::submit_delta_with`].
-enum ReplySink {
-    Channel(mpsc::Sender<Reply>),
-    Callback(Box<dyn FnOnce(Reply) + Send>),
-    DeltaCallback(Box<dyn FnOnce(DeltaReply) + Send>),
-}
-
-impl ReplySink {
-    fn send(self, outcome: Result<Outcome, (Option<u64>, ServeError)>) {
-        match self {
-            // A disconnected receiver just means the client went away.
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(outcome.map(|o| o.response));
-            }
-            ReplySink::Callback(f) => f(outcome.map(|o| o.response)),
-            ReplySink::DeltaCallback(f) => {
-                f(outcome.map(|o| delta_response(o.response, o.base_hit, &o.stats)));
-            }
-        }
-    }
-}
+/// What a worker hands a job's reply callback: the [`Outcome`], or the
+/// echoed request id plus the typed error.
+type Finished = Result<Outcome, (Option<u64>, ServeError)>;
 
 /// What one job computes: a plain prediction, or a delta prediction that
 /// may reuse (sub-module × cycle) items from a cached base trace.
@@ -607,7 +586,18 @@ enum Work {
 struct Job {
     request: PredictRequest,
     work: Work,
-    reply: ReplySink,
+    /// Called exactly once with the job's result: by the worker that
+    /// finishes it, or with [`ServeError::Shutdown`] when the service
+    /// stops first. Each submit entry point maps the outcome to its own
+    /// reply type inside this closure.
+    reply: Box<dyn FnOnce(Finished) + Send>,
+}
+
+impl Job {
+    /// Answer the job with `error`, echoing its request id.
+    fn fail(self, error: ServeError) {
+        (self.reply)(Err((self.request.id, error)));
+    }
 }
 
 #[derive(Default)]
@@ -751,13 +741,18 @@ impl AtlasService {
         })
     }
 
-    fn enqueue(&self, request: PredictRequest, work: Work, reply: ReplySink) {
+    fn enqueue(
+        &self,
+        request: PredictRequest,
+        work: Work,
+        reply: impl FnOnce(Finished) + Send + 'static,
+    ) {
         requeue(
             &self.queue,
             Job {
                 request,
                 work,
-                reply,
+                reply: Box::new(reply),
             },
         );
     }
@@ -765,7 +760,10 @@ impl AtlasService {
     /// Enqueue a request; the returned channel yields the reply.
     pub fn submit(&self, request: PredictRequest) -> mpsc::Receiver<Reply> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(request, Work::Predict, ReplySink::Channel(tx));
+        // A disconnected receiver just means the client went away.
+        self.submit_with(request, move |reply| {
+            let _ = tx.send(reply);
+        });
         rx
     }
 
@@ -778,11 +776,9 @@ impl AtlasService {
         request: PredictRequest,
         callback: impl FnOnce(Reply) + Send + 'static,
     ) {
-        self.enqueue(
-            request,
-            Work::Predict,
-            ReplySink::Callback(Box::new(callback)),
-        );
+        self.enqueue(request, Work::Predict, move |finished| {
+            callback(finished.map(|o| o.response));
+        });
     }
 
     /// Enqueue a `predict_delta` request whose reply is delivered to
@@ -799,11 +795,9 @@ impl AtlasService {
             base: request.base_request(),
             changed_submodules: request.changed_submodules.clone(),
         };
-        self.enqueue(
-            request.target(),
-            work,
-            ReplySink::DeltaCallback(Box::new(callback)),
-        );
+        self.enqueue(request.target(), work, move |finished| {
+            callback(finished.map(|o| delta_response(o.response, o.base_hit, &o.stats)));
+        });
     }
 
     /// Answer one `predict_delta` request, blocking until a worker
@@ -820,11 +814,7 @@ impl AtlasService {
         self.submit_delta_with(request, move |reply| {
             let _ = tx.send(reply);
         });
-        match rx.recv() {
-            Ok(Ok(response)) => Ok(response),
-            Ok(Err((_, error))) => Err(error),
-            Err(_) => Err(ServeError::Shutdown),
-        }
+        recv(&rx)
     }
 
     /// Answer one request, blocking until a worker finishes it.
@@ -833,11 +823,7 @@ impl AtlasService {
     ///
     /// Any [`ServeError`] the request produced.
     pub fn call(&self, request: PredictRequest) -> Result<PredictResponse, ServeError> {
-        match self.submit(request).recv() {
-            Ok(Ok(response)) => Ok(response),
-            Ok(Err((_, error))) => Err(error),
-            Err(_) => Err(ServeError::Shutdown),
-        }
+        recv(&self.submit(request))
     }
 
     /// Aggregate counters plus the per-model breakdown.
@@ -1337,6 +1323,15 @@ impl AtlasService {
     }
 }
 
+/// Block on one reply channel of [`AtlasService::call`] or
+/// [`AtlasService::call_delta`]; a reply dropped unanswered reads as
+/// [`ServeError::Shutdown`].
+fn recv<T>(rx: &mpsc::Receiver<Result<T, (Option<u64>, ServeError)>>) -> Result<T, ServeError> {
+    rx.recv()
+        .map_err(|_| ServeError::Shutdown)?
+        .map_err(|(_, error)| error)
+}
+
 impl Drop for AtlasService {
     fn drop(&mut self) {
         let drained = {
@@ -1346,7 +1341,7 @@ impl Drop for AtlasService {
             std::mem::take(&mut state.jobs)
         };
         for job in drained {
-            job.reply.send(Err((job.request.id, ServeError::Shutdown)));
+            job.fail(ServeError::Shutdown);
         }
         self.queue.ready.notify_all();
         for worker in self.workers.drain(..) {
@@ -1366,7 +1361,7 @@ impl Drop for AtlasService {
             .collect();
         for state in models {
             for job in state.gate.drain_parked() {
-                job.reply.send(Err((job.request.id, ServeError::Shutdown)));
+                job.fail(ServeError::Shutdown);
             }
         }
     }
@@ -1379,7 +1374,7 @@ fn requeue(queue: &Queue, job: Job) {
     let mut state = queue.state.lock().expect("queue lock");
     if state.shutdown {
         drop(state);
-        job.reply.send(Err((job.request.id, ServeError::Shutdown)));
+        job.fail(ServeError::Shutdown);
     } else {
         state.jobs.push_back(job);
         drop(state);
@@ -1503,7 +1498,7 @@ fn finish(
         }
     }
     let id = job.request.id;
-    job.reply.send(result.map_err(|e| (id, e)));
+    (job.reply)(result.map_err(|e| (id, e)));
 }
 
 /// Releases one cold-compute slot on drop (panic-safe), re-dispatching

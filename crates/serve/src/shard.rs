@@ -160,22 +160,16 @@ impl ShardRing {
     }
 }
 
-/// One proxied request awaiting its backend reply.
-struct Pending {
-    completer: Completer,
-    /// The client's original id, restored into the reply (the id on the
-    /// wire to the backend is proxy-internal).
-    original_id: Option<u64>,
-}
-
 /// One live backend connection: the writer half plus the pending map its
-/// reader thread resolves. The map belongs to *this* connection — when
-/// the connection dies, its reader fails every entry with a structured
-/// `unavailable` error and a fresh connection starts an empty map, so a
-/// reconnect can never leak or misdeliver an old request.
+/// reader thread resolves, from proxy-internal id to the client's
+/// [`Completer`] (which carries the client's original id). The map
+/// belongs to *this* connection — when the connection dies, its reader
+/// fails every entry with a structured `unavailable` error and a fresh
+/// connection starts an empty map, so a reconnect can never leak or
+/// misdeliver an old request.
 struct Live {
     stream: TcpStream,
-    pending: Arc<Mutex<HashMap<u64, Pending>>>,
+    pending: Arc<Mutex<HashMap<u64, Completer>>>,
 }
 
 /// How long a backend that failed to connect stays "down" before the
@@ -211,12 +205,18 @@ impl Backend {
     }
 
     /// Forward one rendered request line, connecting (and spawning the
-    /// reply-reader thread) on first use. `entry` is registered under
-    /// `internal` before the write so a fast reply cannot race it.
+    /// reply-reader thread) on first use. `completer` is registered
+    /// under `internal` before the write so a fast reply cannot race it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Unavailable`] when the shard cannot be reached. The
+    /// request is then already answered with an error through its
+    /// completer, so the caller must not answer it again.
     fn send(
         self: &Arc<Backend>,
         internal: u64,
-        entry: Pending,
+        completer: Completer,
         line: &str,
     ) -> Result<(), ServeError> {
         let unavailable = |e: &dyn std::fmt::Display| {
@@ -224,52 +224,63 @@ impl Backend {
         };
         let mut guard = self.conn.lock().expect("backend lock");
         if guard.is_none() {
-            // At most one connect attempt per cooldown window: a dead
-            // shard answers `unavailable` from memory, not from a fresh
-            // (and possibly slow) dial per queued request.
-            let cooling = self
-                .last_failure
-                .lock()
-                .expect("cooldown lock")
-                .is_some_and(|at| at.elapsed() < self.cooldown);
-            if cooling {
-                return Err(unavailable(&"in reconnect cooldown after a failed connect"));
+            if let Err(e) = self.connect(&mut guard) {
+                let err = unavailable(&e);
+                completer.fail(err.clone());
+                return Err(err);
             }
-            let stream = match TcpStream::connect(&self.info.addr) {
-                Ok(stream) => stream,
-                Err(e) => {
-                    self.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    *self.last_failure.lock().expect("cooldown lock") = Some(Instant::now());
-                    return Err(unavailable(&e));
-                }
-            };
-            *self.last_failure.lock().expect("cooldown lock") = None;
-            let _ = stream.set_nodelay(true);
-            let reader = stream.try_clone().map_err(|e| unavailable(&e))?;
-            let pending = Arc::new(Mutex::new(HashMap::new()));
-            let backend = Arc::clone(self);
-            let map = Arc::clone(&pending);
-            thread::Builder::new()
-                .name(format!("atlas-shard-io-{}", self.info.id))
-                .spawn(move || backend.reader_loop(reader, &map))
-                .map_err(|e| unavailable(&e))?;
-            *guard = Some(Live { stream, pending });
         }
         let live = guard.as_mut().expect("connected above");
         live.pending
             .lock()
             .expect("pending lock")
-            .insert(internal, entry);
+            .insert(internal, completer);
         let mut framed = String::with_capacity(line.len() + 1);
         framed.push_str(line);
         framed.push('\n');
         if let Err(e) = live.stream.write_all(framed.as_bytes()) {
-            live.pending.lock().expect("pending lock").remove(&internal);
+            let err = unavailable(&e);
+            // Unless the reader already failed it in its disconnect drain.
+            let completer = live.pending.lock().expect("pending lock").remove(&internal);
+            if let Some(completer) = completer {
+                completer.fail(err.clone());
+            }
             // Wake the reader so it drains whatever else was in flight.
             let _ = live.stream.shutdown(Shutdown::Both);
             *guard = None;
-            return Err(unavailable(&e));
+            return Err(err);
         }
+        Ok(())
+    }
+
+    /// Dial the shard and start its reply-reader thread. At most one
+    /// dial per cooldown window: a dead shard answers `unavailable` from
+    /// memory, not from a fresh (and possibly slow) dial per request.
+    fn connect(self: &Arc<Backend>, slot: &mut Option<Live>) -> Result<(), String> {
+        let cooling = self
+            .last_failure
+            .lock()
+            .expect("cooldown lock")
+            .is_some_and(|at| at.elapsed() < self.cooldown);
+        if cooling {
+            return Err("in reconnect cooldown after a failed connect".to_owned());
+        }
+        let stream = TcpStream::connect(&self.info.addr).map_err(|e| {
+            self.connect_failures.fetch_add(1, Ordering::Relaxed);
+            *self.last_failure.lock().expect("cooldown lock") = Some(Instant::now());
+            e.to_string()
+        })?;
+        *self.last_failure.lock().expect("cooldown lock") = None;
+        let _ = stream.set_nodelay(true);
+        let reader = stream.try_clone().map_err(|e| e.to_string())?;
+        let pending = Arc::new(Mutex::new(HashMap::new()));
+        let backend = Arc::clone(self);
+        let map = Arc::clone(&pending);
+        thread::Builder::new()
+            .name(format!("atlas-shard-io-{}", self.info.id))
+            .spawn(move || backend.reader_loop(reader, &map))
+            .map_err(|e| e.to_string())?;
+        *slot = Some(Live { stream, pending });
         Ok(())
     }
 
@@ -278,7 +289,7 @@ impl Backend {
     fn reader_loop(
         self: Arc<Backend>,
         stream: TcpStream,
-        pending: &Arc<Mutex<HashMap<u64, Pending>>>,
+        pending: &Arc<Mutex<HashMap<u64, Completer>>>,
     ) {
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
@@ -307,18 +318,15 @@ impl Backend {
             // reply lines without re-registering.
             if frame_of(&value).is_some_and(|frame| frame != "end") {
                 let map = pending.lock().expect("pending lock");
-                if let Some(entry) = map.get(&internal) {
-                    let line = restore_id(value, entry.original_id);
-                    entry.completer.stream(line);
+                if let Some(completer) = map.get(&internal) {
+                    completer.stream(restore_id(value, completer.id()));
                 }
                 continue;
             }
-            let Some(entry) = pending.lock().expect("pending lock").remove(&internal) else {
+            let Some(completer) = pending.lock().expect("pending lock").remove(&internal) else {
                 continue;
             };
-            entry
-                .completer
-                .complete(restore_id(value, entry.original_id));
+            completer.complete(restore_id(value, completer.id()));
         }
         // Detach this connection (unless a reconnect already replaced
         // it), then fail its in-flight requests. A send racing this
@@ -333,18 +341,15 @@ impl Backend {
                 *guard = None;
             }
         }
-        let drained: Vec<Pending> = {
+        let drained: Vec<Completer> = {
             let mut map = pending.lock().expect("pending lock");
-            map.drain().map(|(_, entry)| entry).collect()
+            map.drain().map(|(_, completer)| completer).collect()
         };
-        for entry in drained {
-            let err = ServeError::Unavailable(format!(
+        for completer in drained {
+            completer.fail(ServeError::Unavailable(format!(
                 "shard {} at {} disconnected mid-request",
                 self.info.id, self.info.addr
-            ));
-            entry
-                .completer
-                .complete(protocol::render_result(&Err((entry.original_id, err))));
+            )));
         }
     }
 }
@@ -473,14 +478,14 @@ impl ShardProxy {
                 ServeError::InvalidRequest("unrenderable request".to_owned()),
             );
         };
-        let entry = Pending {
-            completer: ctx.completer(),
-            original_id,
-        };
-        match backend.send(internal, entry, &rendered) {
-            Ok(()) => None,
-            Err(e) => self.fail(original_id, e),
+        if backend
+            .send(internal, ctx.completer(original_id), &rendered)
+            .is_err()
+        {
+            // Already answered through the completer.
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
+        None
     }
 }
 
@@ -715,10 +720,7 @@ mod tests {
             },
             vnodes: 1,
         };
-        let entry = || Pending {
-            completer: crate::reactor::test_completer(),
-            original_id: None,
-        };
+        let entry = crate::reactor::test_completer;
         let backend = Arc::new(Backend::new(info, Duration::from_secs(60)));
         for internal in 0..5 {
             assert!(backend

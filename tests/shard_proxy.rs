@@ -1,16 +1,18 @@
 //! Shard-proxy wire tests: request aliasing must never split one trace
 //! key across shards (registered vs inline schedule spellings, defaulted
-//! vs explicit model), and streamed verbs must pass through the proxy
-//! frame by frame.
+//! vs explicit model), streamed verbs must pass through the proxy frame
+//! by frame, and a dead shard's requests are answered exactly once.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use atlas_core::pipeline::{train_atlas, ExperimentConfig};
-use atlas_serve::reactor::{Reactor, ReactorConfig, ReactorHandle};
+use atlas_serve::protocol::salvage_id;
+use atlas_serve::reactor::{Frontend, FrontendContext, Reactor, ReactorConfig, ReactorHandle};
 use atlas_serve::{
-    AtlasService, PredictDeltaResponse, PredictResponse, ServiceConfig, ShardInfo, ShardProxy,
+    trace_route_key, AtlasService, PredictDeltaResponse, PredictResponse, ServiceConfig, ShardInfo,
+    ShardProxy, ShardRing,
 };
 
 /// A configuration small enough to train inside the test suite.
@@ -181,4 +183,78 @@ fn aliased_spellings_of_one_trace_key_share_a_shard_cache() {
         handle.shutdown().expect("backend shutdown");
     }
     front.shutdown().expect("proxy shutdown");
+}
+
+/// A shard stand-in that answers every request inline, echoing its id.
+struct EchoShard;
+
+impl Frontend for EchoShard {
+    fn handle(&self, line: &str, _ctx: &FrontendContext<'_>) -> Option<String> {
+        let id = salvage_id(line).unwrap_or(0);
+        Some(format!(r#"{{"id":{id},"verb":"predict","echo":true}}"#))
+    }
+}
+
+/// A `predict` routed to a dead shard gets exactly one `unavailable`
+/// line carrying its id — never that plus a second answer for the same
+/// request — so the next reply on the connection belongs to the next
+/// request, whether that one fails fast in the reconnect cooldown or is
+/// served by a live shard.
+#[test]
+fn dead_shard_requests_are_answered_exactly_once() {
+    let dead = {
+        let sock = TcpListener::bind("127.0.0.1:0").expect("bind");
+        sock.local_addr().expect("addr").to_string()
+    };
+    let live = Reactor::bind(Arc::new(EchoShard), "127.0.0.1:0", ReactorConfig::default())
+        .expect("binds")
+        .spawn()
+        .expect("spawns");
+    let shards = vec![
+        ShardInfo {
+            id: 0,
+            addr: dead,
+            vnodes: 16,
+        },
+        ShardInfo {
+            id: 1,
+            addr: live.addr().to_string(),
+            vnodes: 16,
+        },
+    ];
+    let ring = ShardRing::new(shards.clone()).expect("ring");
+    let design_on = |shard: u32| {
+        (0..)
+            .map(|i| format!("D{i}"))
+            .find(|design| ring.route(trace_route_key(None, design, "W1", 6)).id == shard)
+            .expect("some design routes to every shard")
+    };
+    let (on_dead, on_live) = (design_on(0), design_on(1));
+    let front = Reactor::bind(
+        Arc::new(ShardProxy::new(shards).expect("proxy")),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+    )
+    .expect("binds")
+    .spawn()
+    .expect("spawns");
+    let mut stream = TcpStream::connect(front.addr()).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+    let predict = |id: u64, design: &str| {
+        format!(r#"{{"id":{id},"design":"{design}","workload":"W1","cycles":6}}"#)
+    };
+
+    // The first request dials the dead shard; the second fails fast
+    // inside the reconnect cooldown. Each is answered once, in turn.
+    for id in [1, 2] {
+        let reply = ask(&mut stream, &mut reader, &predict(id, &on_dead));
+        assert!(reply.contains(r#""kind":"unavailable""#), "got: {reply}");
+        assert!(reply.contains(&format!(r#""id":{id},"#)), "got: {reply}");
+    }
+    let reply = ask(&mut stream, &mut reader, &predict(3, &on_live));
+    assert!(reply.contains(r#""echo":true"#), "got: {reply}");
+    assert!(reply.contains(r#""id":3,"#), "got: {reply}");
+
+    front.shutdown().expect("proxy shutdown");
+    live.shutdown().expect("shard shutdown");
 }
