@@ -34,13 +34,22 @@
 //! (`scripts/check_bench.rs --infer`), and the report's `isa`/`kernel`
 //! fields record what the dispatch actually selected on the benchmarking
 //! machine.
+//!
+//! The `heads` object times the head stage — all a cache hit pays —
+//! on GBDTs fitted like the serving benchmark's heads
+//! (`ExperimentConfig::quick()`: 60 trees of depth 5, widths 24 and 27)
+//! over synthetic rows: the node-link reference walk
+//! ([`Gbdt::predict_reference`], one row at a time) against the compiled
+//! forest ([`Gbdt::predict_block`]), alternating which runs first. It
+//! reports µs per row for each, their in-run `speedup`, and `parity`
+//! (every output bit-identical), both gated by `check_bench --infer`.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use atlas_core::features::{build_submodule_data, side_features, SubmoduleData};
 use atlas_core::finetune::{MemoryModel, PowerHeads};
-use atlas_core::{AtlasModel, EmbeddingTable, Precision, F32_EMBED_TOLERANCE};
+use atlas_core::{AtlasModel, EmbeddingTable, ExperimentConfig, Precision, F32_EMBED_TOLERANCE};
 use atlas_designs::DesignConfig;
 use atlas_gbdt::{Gbdt, GbdtConfig};
 use atlas_liberty::Library;
@@ -378,6 +387,25 @@ struct GateRow {
     parity: bool,
 }
 
+/// Head-stage timing: reference walk vs compiled forest on the same rows.
+#[derive(Debug, Serialize)]
+struct HeadsRow {
+    /// Rows evaluated per arm per rep, summed over the three heads.
+    rows: usize,
+    /// Trees per head.
+    trees: usize,
+    /// Tree depth cap of the fitted heads.
+    max_depth: usize,
+    /// Best-of-reps reference (`predict_reference`) cost per row, µs.
+    reference_us_per_row: f64,
+    /// Best-of-reps compiled (`predict_block`) cost per row, µs.
+    compiled_us_per_row: f64,
+    /// `reference_us_per_row / compiled_us_per_row`, measured in this run.
+    speedup: f64,
+    /// Whether every compiled output is bit-identical to the reference.
+    parity: bool,
+}
+
 #[derive(Debug, Serialize)]
 struct Report {
     cycles: usize,
@@ -389,6 +417,7 @@ struct Report {
     kernel: String,
     scales: Vec<ScaleRow>,
     gate: GateRow,
+    heads: HeadsRow,
 }
 
 /// Bit-exact comparison of a batched f64 embedding table against the
@@ -514,6 +543,92 @@ fn bench_scale(
     })
 }
 
+/// Rows per head in the heads timing: a C2-sized sub-module set (20)
+/// at the production 300-cycle trace.
+const HEAD_ROWS: usize = 6000;
+
+/// Fit three heads shaped like the serving benchmark's
+/// (`ExperimentConfig::quick()` GBDT settings; `F_CT` on the embedding
+/// width, `F_Comb` and `F_Reg` on it plus three side features) on
+/// synthetic rows, then time
+/// the reference walk against the compiled forest over [`HEAD_ROWS`]
+/// fresh rows per head.
+fn bench_heads(reps: usize) -> HeadsRow {
+    let quick = ExperimentConfig::quick();
+    let cfg = quick.finetune.gbdt;
+    let hidden = quick.pretrain.hidden_dim;
+    let mut state = 0x5eed_u64;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let heads: Vec<(Gbdt, Vec<f64>)> = [hidden, hidden + 3, hidden + 3]
+        .into_iter()
+        .map(|width| {
+            let mut sample = |n: usize| -> Vec<f64> { (0..n * width).map(|_| unit()).collect() };
+            let train = sample(2000);
+            let y: Vec<f64> = train
+                .chunks(width)
+                .map(|r| (3.0 * r[0]).sin() + r[1] * r[2] + (r[width - 1] - 0.5).abs())
+                .collect();
+            (Gbdt::fit(&train, width, &y, &cfg), sample(HEAD_ROWS))
+        })
+        .collect();
+
+    let time_reference = |outs: &mut Vec<Vec<f64>>| {
+        let t = Instant::now();
+        for ((head, rows), out) in heads.iter().zip(outs.iter_mut()) {
+            out.clear();
+            out.extend(
+                rows.chunks(head.n_features())
+                    .map(|r| head.predict_reference(r)),
+            );
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let time_compiled = |outs: &mut Vec<Vec<f64>>| {
+        let t = Instant::now();
+        for ((head, rows), out) in heads.iter().zip(outs.iter_mut()) {
+            out.resize(HEAD_ROWS, 0.0);
+            head.predict_block(rows, out);
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let mut reference_out = vec![Vec::new(); heads.len()];
+    let mut compiled_out = vec![Vec::new(); heads.len()];
+    let mut reference_wall = f64::MAX;
+    let mut compiled_wall = f64::MAX;
+    // Alternate which arm runs first so drift hits both; best of reps.
+    for rep in 0..reps.max(2) {
+        if rep % 2 == 0 {
+            reference_wall = reference_wall.min(time_reference(&mut reference_out));
+            compiled_wall = compiled_wall.min(time_compiled(&mut compiled_out));
+        } else {
+            compiled_wall = compiled_wall.min(time_compiled(&mut compiled_out));
+            reference_wall = reference_wall.min(time_reference(&mut reference_out));
+        }
+    }
+    let parity = reference_out
+        .iter()
+        .flatten()
+        .map(|v| v.to_bits())
+        .eq(compiled_out.iter().flatten().map(|v| v.to_bits()));
+    let rows = HEAD_ROWS * heads.len();
+    let per_row = |wall: f64| wall * 1e6 / rows as f64;
+    HeadsRow {
+        rows,
+        trees: cfg.n_estimators,
+        max_depth: cfg.max_depth,
+        reference_us_per_row: per_row(reference_wall),
+        compiled_us_per_row: per_row(compiled_wall),
+        speedup: reference_wall / compiled_wall.max(1e-12),
+        parity,
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -568,6 +683,19 @@ fn main() -> ExitCode {
         }
     }
 
+    let heads = bench_heads(args.reps);
+    println!(
+        "heads: {} rows, {} trees of depth {} — reference {:.3} us/row, compiled {:.3} us/row \
+         ({:.2}x, parity {})",
+        heads.rows,
+        heads.trees,
+        heads.max_depth,
+        heads.reference_us_per_row,
+        heads.compiled_us_per_row,
+        heads.speedup,
+        heads.parity,
+    );
+
     let gate_row = rows
         .iter()
         .find(|r| r.scale == args.gate_scale)
@@ -590,12 +718,14 @@ fn main() -> ExitCode {
             parity: gate_row.parity,
         },
         scales: rows,
+        heads,
     };
 
-    let any_parity_broken = report
-        .scales
-        .iter()
-        .any(|r| !r.parity || !r.scalar_parity || r.f32_max_rel_delta > F32_EMBED_TOLERANCE);
+    let any_parity_broken = !report.heads.parity
+        || report
+            .scales
+            .iter()
+            .any(|r| !r.parity || !r.scalar_parity || r.f32_max_rel_delta > F32_EMBED_TOLERANCE);
     match serde_json::to_string_pretty(&report) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&args.out, json) {
@@ -611,8 +741,8 @@ fn main() -> ExitCode {
     }
     if any_parity_broken {
         eprintln!(
-            "error: an arm diverged from the per-cycle path (f64 parity broken \
-             or f32 outside its {F32_EMBED_TOLERANCE:.0e} tolerance)"
+            "error: an arm diverged from its reference (f64 embed or head parity \
+             broken, or f32 outside its {F32_EMBED_TOLERANCE:.0e} tolerance)"
         );
         return ExitCode::FAILURE;
     }

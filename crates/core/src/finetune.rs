@@ -68,20 +68,123 @@ pub struct PowerHeads {
 impl PowerHeads {
     /// Predict the three learned groups for one sub-module-cycle.
     /// Predictions are clamped at zero (power is non-negative).
+    ///
+    /// A one-row [`predict_block`](Self::predict_block); prefer that with a
+    /// kept [`HeadScratch`] when evaluating many rows.
     pub fn predict_groups(&self, embedding: &[f64], side: &SideFeatures) -> [f64; 3] {
-        let ct = self.f_ct.predict(embedding).max(0.0);
-        let comb = self
-            .f_comb
-            .predict(&comb_row(embedding, side, self.side_features))
-            .max(0.0);
-        let reg = self
-            .f_reg
-            .predict(&reg_row(embedding, side, self.side_features))
-            .max(0.0);
-        [comb, reg, ct]
+        let mut out = [[0.0; 3]];
+        self.predict_block(
+            &[embedding],
+            std::slice::from_ref(side),
+            &mut HeadScratch::default(),
+            &mut out,
+        );
+        out[0]
+    }
+
+    /// Predict `[comb, reg, ct]` watts, clamped at zero, for a block of
+    /// sub-module-cycles: `rows[i]` is an embedding at its storage
+    /// precision (f32 rows are widened here, a block at a time) and
+    /// `sides[i]` its side features. The rows are gathered into
+    /// `scratch`'s buffers, so a kept scratch makes the call allocation
+    /// free. Each head sums its trees per row in tree order, so the
+    /// result is bit-identical to evaluating the rows one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows`, `sides` and `out` differ in length, or if a row
+    /// is not `f_ct`'s width.
+    pub fn predict_block<R, T>(
+        &self,
+        rows: &[R],
+        sides: &[SideFeatures],
+        scratch: &mut HeadScratch,
+        out: &mut [[f64; 3]],
+    ) where
+        R: AsRef<[T]>,
+        T: Copy + Into<f64>,
+    {
+        assert!(
+            rows.len() == sides.len() && rows.len() == out.len(),
+            "head block shape mismatch"
+        );
+        let s = scratch;
+        s.emb.clear();
+        s.comb.clear();
+        s.reg.clear();
+        for (row, side) in rows.iter().zip(sides) {
+            let row = row.as_ref();
+            assert_eq!(
+                row.len(),
+                self.f_ct.n_features(),
+                "embedding width mismatch"
+            );
+            let start = s.emb.len();
+            s.emb.extend(row.iter().map(|&v| v.into()));
+            let emb = &s.emb[start..];
+            s.comb.extend_from_slice(emb);
+            s.reg.extend_from_slice(emb);
+            if self.side_features {
+                s.comb.extend([side.n_comb, side.i_comb, side.c_comb]);
+                s.reg.extend([side.n_reg, side.i_reg, side.c_reg]);
+            }
+        }
+        for (head, rows, preds) in [
+            (&self.f_ct, &s.emb, &mut s.ct),
+            (&self.f_comb, &s.comb, &mut s.comb_w),
+            (&self.f_reg, &s.reg, &mut s.reg_w),
+        ] {
+            preds.clear();
+            preds.resize(out.len(), 0.0);
+            head.predict_block(rows, preds);
+        }
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = [s.comb_w[i].max(0.0), s.reg_w[i].max(0.0), s.ct[i].max(0.0)];
+        }
+    }
+
+    /// Check heads read from an untrusted file and compile their forests:
+    /// each head's trees must be well formed (see [`Gbdt::validate`]) and
+    /// its width must match `embed_dim` plus the side features.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first bad head.
+    pub fn validate(&self) -> Result<(), String> {
+        let extra = if self.side_features { 3 } else { 0 };
+        let side_width = self.embed_dim.saturating_add(extra);
+        for (name, head, width) in [
+            ("f_ct", &self.f_ct, self.embed_dim),
+            ("f_comb", &self.f_comb, side_width),
+            ("f_reg", &self.f_reg, side_width),
+        ] {
+            if head.n_features() != width {
+                return Err(format!(
+                    "head {name} reads {} features, expected {width}",
+                    head.n_features()
+                ));
+            }
+            head.validate().map_err(|e| format!("head {name}: {e}"))?;
+        }
+        Ok(())
     }
 }
 
+/// Reusable buffers for [`PowerHeads::predict_block`]: one block's
+/// widened embeddings, comb and reg head rows, and raw head outputs. Keep
+/// one per evaluating thread.
+#[derive(Debug, Clone, Default)]
+pub struct HeadScratch {
+    emb: Vec<f64>,
+    comb: Vec<f64>,
+    reg: Vec<f64>,
+    ct: Vec<f64>,
+    comb_w: Vec<f64>,
+    reg_w: Vec<f64>,
+}
+
+/// One `F_Comb` training row: the embedding, then `n`, `I`, `C` when side
+/// features are on. [`PowerHeads::predict_block`] gathers the same layout.
 fn comb_row(embedding: &[f64], s: &SideFeatures, side: bool) -> Vec<f64> {
     let mut row = embedding.to_vec();
     if side {
@@ -90,6 +193,7 @@ fn comb_row(embedding: &[f64], s: &SideFeatures, side: bool) -> Vec<f64> {
     row
 }
 
+/// One `F_Reg` training row, laid out like [`comb_row`].
 fn reg_row(embedding: &[f64], s: &SideFeatures, side: bool) -> Vec<f64> {
     let mut row = embedding.to_vec();
     if side {

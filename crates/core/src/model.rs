@@ -10,7 +10,7 @@ use atlas_sim::ToggleTrace;
 use serde::{Deserialize, Serialize};
 
 use crate::features::{build_submodule_data, SideFeatures, SideTable, SubmoduleData};
-use crate::finetune::PowerHeads;
+use crate::finetune::{HeadScratch, PowerHeads};
 
 /// Maximum per-element deviation of an f32-stored trace embedding from
 /// its f64 counterpart, under the relative metric `|a − b| / (1 + |b|)`.
@@ -18,6 +18,10 @@ use crate::finetune::PowerHeads;
 /// f32 rounding (about 6e-8); the bound is shared by the model tests and
 /// the `infer_bench` accuracy gate so the two cannot drift apart.
 pub const F32_EMBED_TOLERANCE: f64 = 1e-3;
+
+/// Rows per [`PowerHeads::predict_block`] call in
+/// [`AtlasModel::predict_from_embeddings`].
+const HEAD_BLOCK: usize = 64;
 
 /// Storage precision of cached embedding rows. The encoder always
 /// computes in f64; [`Precision::F32`] narrows each finished row once, at
@@ -112,8 +116,7 @@ impl EmbeddingTable {
     }
 
     /// Cycle `t`'s embedding as f64, borrowing stored f64 rows directly
-    /// and widening f32 rows through the caller's reusable scratch buffer
-    /// (no per-row allocation on the head-stage hot path).
+    /// and widening f32 rows through the caller's reusable scratch buffer.
     pub fn row_f64<'a>(&'a self, t: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
         match self {
             EmbeddingTable::F64(rows) => &rows[t],
@@ -807,6 +810,11 @@ impl AtlasModel {
     /// Inference stage two (cheap): run the fine-tuned heads over
     /// precomputed [`TraceEmbeddings`]. This is all a serving layer pays
     /// on a cache hit.
+    ///
+    /// Each sub-module's cycles go through the heads in blocks of 64 rows
+    /// (f32 rows widened a block at a time) with one
+    /// reused [`HeadScratch`], so no row allocates; watts are
+    /// bit-identical to evaluating each row alone.
     pub fn predict_from_embeddings(&self, embeddings: &TraceEmbeddings) -> PowerTrace {
         let mut out = PowerTrace::new(
             embeddings.design.clone(),
@@ -814,19 +822,52 @@ impl AtlasModel {
             embeddings.cycles,
             embeddings.n_submodules,
         );
-        let mut scratch = Vec::new();
+        let mut scratch = HeadScratch::default();
+        let mut groups = [[0.0; 3]; HEAD_BLOCK];
         for sm in &embeddings.per_submodule {
-            for (t, side) in sm.sides.iter().enumerate() {
-                let emb = sm.embeddings.row_f64(t, &mut scratch);
-                let [comb, reg, ct] = self.heads.predict_groups(emb, side);
-                let mem = self.heads.memory.predict(side);
-                out.add(t, sm.submodule, PowerGroup::Combinational.index(), comb);
-                out.add(t, sm.submodule, PowerGroup::Register.index(), reg);
-                out.add(t, sm.submodule, PowerGroup::ClockTree.index(), ct);
-                out.add(t, sm.submodule, PowerGroup::Memory.index(), mem);
+            for start in (0..sm.sides.len()).step_by(HEAD_BLOCK) {
+                let end = (start + HEAD_BLOCK).min(sm.sides.len());
+                let sides = &sm.sides[start..end];
+                let block = &mut groups[..end - start];
+                match &sm.embeddings {
+                    EmbeddingTable::F64(rows) => {
+                        self.heads
+                            .predict_block(&rows[start..end], sides, &mut scratch, block)
+                    }
+                    EmbeddingTable::F32(rows) => {
+                        self.heads
+                            .predict_block(&rows[start..end], sides, &mut scratch, block)
+                    }
+                }
+                for ((t, side), &[comb, reg, ct]) in (start..end).zip(sides).zip(block.iter()) {
+                    let mem = self.heads.memory.predict(side);
+                    out.add(t, sm.submodule, PowerGroup::Combinational.index(), comb);
+                    out.add(t, sm.submodule, PowerGroup::Register.index(), reg);
+                    out.add(t, sm.submodule, PowerGroup::ClockTree.index(), ct);
+                    out.add(t, sm.submodule, PowerGroup::Memory.index(), mem);
+                }
             }
         }
         out
+    }
+
+    /// Check a model read from an untrusted file and compile its heads,
+    /// so no later prediction can panic on a malformed ensemble.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first problem: a head whose trees are malformed
+    /// (see [`PowerHeads::validate`]) or whose width does not match the
+    /// encoder's embedding width.
+    pub fn validate(&self) -> Result<(), String> {
+        let hidden = self.encoder.config.hidden_dim;
+        if self.heads.embed_dim != hidden {
+            return Err(format!(
+                "heads expect {}-wide embeddings, the encoder makes {hidden}",
+                self.heads.embed_dim
+            ));
+        }
+        self.heads.validate()
     }
 }
 
@@ -1064,6 +1105,71 @@ mod tests {
             assert_eq!(w.pattern_digests, n.pattern_digests);
         }
         assert!(narrow.approx_bytes() < wide.approx_bytes());
+    }
+
+    /// The blocked head stage is a per-row reference fold — each head's
+    /// node-link walk on the widened row — bit for bit, at both storage
+    /// precisions and over a trace longer than one head block.
+    #[test]
+    fn blocked_heads_match_per_row_reference_fold() {
+        use atlas_sim::{simulate, PhasedWorkload};
+        let (model, bundle, lib) = tiny_model();
+        let heads = model.heads();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        let trace = simulate(&bundle.gate, &mut PhasedWorkload::w1(1), 150).expect("simulates");
+        for precision in [Precision::F64, Precision::F32] {
+            let emb = model.embed_trace_with(
+                &model.prepare(precision),
+                &bundle.gate,
+                &lib,
+                &data,
+                &trace,
+                2,
+            );
+            let mut want = PowerTrace::new(
+                emb.design.clone(),
+                emb.workload.clone(),
+                emb.cycles,
+                emb.n_submodules,
+            );
+            let mut scratch = Vec::new();
+            for sm in emb.per_submodule() {
+                for (t, side) in sm.sides.iter().enumerate() {
+                    let row = sm.embeddings.row_f64(t, &mut scratch).to_vec();
+                    let with = |extra: [f64; 3]| {
+                        let mut r = row.clone();
+                        if heads.side_features {
+                            r.extend(extra);
+                        }
+                        r
+                    };
+                    let comb_row = with([side.n_comb, side.i_comb, side.c_comb]);
+                    let reg_row = with([side.n_reg, side.i_reg, side.c_reg]);
+                    let groups = [
+                        heads.f_comb.predict_reference(&comb_row).max(0.0),
+                        heads.f_reg.predict_reference(&reg_row).max(0.0),
+                        heads.f_ct.predict_reference(&row).max(0.0),
+                    ];
+                    assert_eq!(
+                        heads.predict_groups(&row, side).map(f64::to_bits),
+                        groups.map(f64::to_bits)
+                    );
+                    let [comb, reg, ct] = groups;
+                    want.add(t, sm.submodule, PowerGroup::Combinational.index(), comb);
+                    want.add(t, sm.submodule, PowerGroup::Register.index(), reg);
+                    want.add(t, sm.submodule, PowerGroup::ClockTree.index(), ct);
+                    let mem = heads.memory.predict(side);
+                    want.add(t, sm.submodule, PowerGroup::Memory.index(), mem);
+                }
+            }
+            let got = model.predict_from_embeddings(&emb);
+            // Shortest round-trip JSON floats are distinct per bit pattern.
+            assert_eq!(
+                serde_json::to_string(&got).expect("serializes"),
+                serde_json::to_string(&want).expect("serializes"),
+                "{precision} heads diverged from the reference fold"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,25 @@
 //! implements the same model family: squared-loss gradient boosting over
 //! histogram-split regression trees, with row/column subsampling.
 //!
+//! # Evaluation
+//!
+//! A fitted or loaded [`Gbdt`] is evaluated through a compiled forest:
+//! every tree padded to a perfect tree of the ensemble's depth, stored as
+//! flat split-feature / threshold / scaled-leaf arrays, and walked
+//! branch-free over blocks of rows ([`Gbdt::predict_block`]). The compiled
+//! form is derived from the serialized trees, never serialized itself,
+//! and built at fit time, by [`Gbdt::validate`], or on first use after
+//! deserialization. Its output is bit-identical to the node-link walk
+//! kept as [`Gbdt::predict_reference`]: each row sums its trees in the
+//! same order from the same base.
+//!
+//! # Limits
+//!
+//! Training bins values into `u8`, so [`GbdtConfig::bins`] is at most
+//! 256. Padding costs `2^(depth+1)` slots per tree, so trees are at most
+//! [`MAX_DEPTH`] deep, both when fitting and when validating a loaded
+//! model.
+//!
 //! # Examples
 //!
 //! ```
@@ -18,9 +37,15 @@
 //! assert!((pred - 4.0).abs() < 0.5);
 //! ```
 
+mod forest;
 mod tree;
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
+
+use forest::Forest;
+pub use forest::{ModelError, MAX_DEPTH};
 pub use tree::Tree;
 
 use rand::RngCore;
@@ -32,7 +57,7 @@ use rand::RngCore;
 pub struct GbdtConfig {
     /// Boosting rounds.
     pub n_estimators: usize,
-    /// Maximum tree depth (paper: 5).
+    /// Maximum tree depth (paper: 5; at most [`MAX_DEPTH`]).
     pub max_depth: usize,
     /// Shrinkage per round.
     pub learning_rate: f64,
@@ -42,7 +67,7 @@ pub struct GbdtConfig {
     pub subsample: f64,
     /// Fraction of features considered per tree.
     pub colsample: f64,
-    /// Histogram bins per feature.
+    /// Histogram bins per feature (2–256).
     pub bins: usize,
     /// Sampling seed.
     pub seed: u64,
@@ -74,12 +99,27 @@ impl GbdtConfig {
 }
 
 /// A trained boosted ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and serialization cover the trees only; the compiled forest
+/// is derived from them.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Gbdt {
     base: f64,
     learning_rate: f64,
     n_features: usize,
     trees: Vec<Tree>,
+    /// The compiled evaluation form of `trees`, built once.
+    #[serde(skip)]
+    forest: OnceLock<Forest>,
+}
+
+impl PartialEq for Gbdt {
+    fn eq(&self, other: &Gbdt) -> bool {
+        self.base == other.base
+            && self.learning_rate == other.learning_rate
+            && self.n_features == other.n_features
+            && self.trees == other.trees
+    }
 }
 
 impl Gbdt {
@@ -88,7 +128,8 @@ impl Gbdt {
     /// # Panics
     ///
     /// Panics if `x.len() != y.len() * n_features`, if `y` is empty, or if
-    /// the configuration is degenerate (zero estimators/depth/bins).
+    /// the configuration is degenerate (zero estimators, depth outside
+    /// `1..=MAX_DEPTH`, or bins outside `2..=256`).
     pub fn fit(x: &[f64], n_features: usize, y: &[f64], cfg: &GbdtConfig) -> Gbdt {
         assert!(!y.is_empty(), "training set is empty");
         assert_eq!(
@@ -97,7 +138,9 @@ impl Gbdt {
             "feature matrix shape mismatch"
         );
         assert!(
-            cfg.n_estimators > 0 && cfg.max_depth > 0 && cfg.bins >= 2,
+            cfg.n_estimators > 0
+                && (1..=MAX_DEPTH).contains(&cfg.max_depth)
+                && (2..=256).contains(&cfg.bins),
             "degenerate configuration"
         );
         let n = y.len();
@@ -151,26 +194,73 @@ impl Gbdt {
             }
             trees.push(tree);
         }
-        Gbdt {
+        let model = Gbdt {
             base,
             learning_rate: cfg.learning_rate,
             n_features,
             trees,
+            forest: OnceLock::new(),
+        };
+        // Compile now, so the first prediction pays nothing extra.
+        model.forest();
+        model
+    }
+
+    /// Check a model built from untrusted data (a deserialized file) and
+    /// compile its forest, so no later prediction can fail.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ModelError`]: an empty tree, a split on a
+    /// feature `>= n_features`, a child link past the end of its tree, a
+    /// node reached twice (cycle), or a tree deeper than [`MAX_DEPTH`].
+    pub fn validate(&self) -> Result<(), ModelError> {
+        if self.forest.get().is_none() {
+            let forest = Forest::compile(&self.trees, self.n_features, self.learning_rate)?;
+            // A concurrent caller may have compiled the same forest first.
+            let _ = self.forest.set(forest);
         }
+        Ok(())
+    }
+
+    /// The compiled forest, built on first use after deserialization.
+    fn forest(&self) -> &Forest {
+        self.forest.get_or_init(|| {
+            Forest::compile(&self.trees, self.n_features, self.learning_rate)
+                .unwrap_or_else(|e| panic!("invalid GBDT model: {e}"))
+        })
     }
 
     /// Predict one row.
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != n_features`.
+    /// Panics if `row.len() != n_features`, or if the model is invalid
+    /// (see [`validate`](Self::validate)).
     pub fn predict(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.n_features, "feature width mismatch");
-        let mut acc = self.base;
-        for t in &self.trees {
-            acc += self.learning_rate * t.predict(row);
-        }
-        acc
+        let mut out = self.base;
+        self.forest()
+            .accumulate(row, self.n_features, std::array::from_mut(&mut out));
+        out
+    }
+
+    /// Predict the row-major `rows` (`out.len()` rows × `n_features`)
+    /// into `out`, walking the trees over blocks of rows. Allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != out.len() * n_features`, or if the model
+    /// is invalid (see [`validate`](Self::validate)).
+    pub fn predict_block(&self, rows: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            rows.len(),
+            out.len() * self.n_features,
+            "block shape mismatch"
+        );
+        out.fill(self.base);
+        self.forest().accumulate(rows, self.n_features, out);
     }
 
     /// Predict many rows at once.
@@ -180,9 +270,24 @@ impl Gbdt {
     /// Panics if `x.len()` is not a multiple of the feature width.
     pub fn predict_batch(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len() % self.n_features, 0, "ragged batch");
-        x.chunks(self.n_features)
-            .map(|row| self.predict(row))
-            .collect()
+        let mut out = vec![0.0; x.len() / self.n_features];
+        self.predict_block(x, &mut out);
+        out
+    }
+
+    /// Predict one row by walking each tree's node links — the reference
+    /// the compiled forest must match bit for bit. For tests and benches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != n_features`.
+    pub fn predict_reference(&self, row: &[f64]) -> f64 {
+        assert_eq!(row.len(), self.n_features, "feature width mismatch");
+        let mut acc = self.base;
+        for t in &self.trees {
+            acc += self.learning_rate * t.predict(row);
+        }
+        acc
     }
 
     /// Number of boosted trees.
@@ -363,6 +468,333 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn shape_mismatch_panics() {
         let _ = Gbdt::fit(&[1.0, 2.0, 3.0], 2, &[1.0], &GbdtConfig::default());
+    }
+
+    /// Bin indices are `u8`: more than 256 bins would wrap them and
+    /// silently corrupt the histograms.
+    #[test]
+    #[should_panic(expected = "degenerate configuration")]
+    fn more_than_256_bins_panics() {
+        let (x, y) = grid(60);
+        let cfg = GbdtConfig {
+            bins: 257,
+            ..GbdtConfig::default()
+        };
+        let _ = Gbdt::fit(&x, 2, &y, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate configuration")]
+    fn depth_past_the_cap_panics() {
+        let (x, y) = grid(60);
+        let cfg = GbdtConfig {
+            max_depth: MAX_DEPTH + 1,
+            ..GbdtConfig::default()
+        };
+        let _ = Gbdt::fit(&x, 2, &y, &cfg);
+    }
+
+    #[test]
+    fn fits_with_256_bins() {
+        let (x, y) = grid(600);
+        let cfg = GbdtConfig {
+            bins: 256,
+            n_estimators: 20,
+            ..GbdtConfig::default()
+        };
+        let model = Gbdt::fit(&x, 2, &y, &cfg);
+        for row in x.chunks(2) {
+            assert_eq!(model.predict(row), model.predict_reference(row));
+        }
+    }
+
+    /// A small fixed fit, serialized by the trees-only format that
+    /// predates the compiled forest: the forest adds nothing to the JSON.
+    const GOLDEN_JSON: &str = concat!(
+        r#"{"base":0.625,"learning_rate":0.3,"n_features":2,"trees":["#,
+        r#"{"nodes":[{"Split":{"feature":0,"threshold":6.0,"bin_cut":2,"left":1,"right":4}},"#,
+        r#"{"Split":{"feature":0,"threshold":3.0,"bin_cut":1,"left":2,"right":3}},"#,
+        r#"{"Leaf":-0.875},{"Leaf":-0.2916666666666667},{"Leaf":0.875}]},"#,
+        r#"{"nodes":[{"Split":{"feature":0,"threshold":6.0,"bin_cut":2,"left":1,"right":4}},"#,
+        r#"{"Split":{"feature":1,"threshold":-1.0,"bin_cut":1,"left":2,"right":3}},"#,
+        r#"{"Leaf":-0.08750000000000002},{"Leaf":-0.7},{"Leaf":0.6125}]},"#,
+        r#"{"nodes":[{"Split":{"feature":0,"threshold":6.0,"bin_cut":2,"left":1,"right":4}},"#,
+        r#"{"Split":{"feature":0,"threshold":3.0,"bin_cut":1,"left":2,"right":3}},"#,
+        r#"{"Leaf":-0.49437499999999995},{"Leaf":-0.05541666666666667},"#,
+        r#"{"Leaf":0.42874999999999996}]}]}"#,
+    );
+
+    fn golden_fit() -> Gbdt {
+        let x: Vec<f64> = (0..12)
+            .flat_map(|i| [i as f64, (i % 3) as f64 - 1.0])
+            .collect();
+        let y: Vec<f64> = (0..12).map(|i| if i >= 6 { 1.5 } else { -0.25 }).collect();
+        let cfg = GbdtConfig {
+            n_estimators: 3,
+            max_depth: 2,
+            learning_rate: 0.3,
+            min_samples_leaf: 2,
+            subsample: 1.0,
+            colsample: 1.0,
+            bins: 4,
+            seed: 7,
+        };
+        Gbdt::fit(&x, 2, &y, &cfg)
+    }
+
+    #[test]
+    fn json_is_trees_only_and_unchanged() {
+        let model = golden_fit();
+        assert!(model.forest.get().is_some(), "fit compiles the forest");
+        assert_eq!(
+            serde_json::to_string(&model).expect("serializes"),
+            GOLDEN_JSON
+        );
+    }
+
+    #[test]
+    fn deserialized_model_rebuilds_the_forest() {
+        let fitted = golden_fit();
+        let loaded: Gbdt = serde_json::from_str(GOLDEN_JSON).expect("deserializes");
+        assert!(
+            loaded.forest.get().is_none(),
+            "the forest is never read back"
+        );
+        assert_eq!(loaded, fitted, "equality ignores the compiled form");
+        loaded.validate().expect("a fitted model is valid");
+        assert!(loaded.forest.get().is_some());
+        // A model deserialized without `validate` compiles on first use.
+        let lazy: Gbdt = serde_json::from_str(GOLDEN_JSON).expect("deserializes");
+        for a in [-1.0, 0.0, 3.0, 6.0, 6.5, f64::NAN] {
+            for b in [-1.0, -0.0, 0.5, f64::INFINITY] {
+                let row = [a, b];
+                let want = fitted.predict_reference(&row).to_bits();
+                assert_eq!(loaded.predict(&row).to_bits(), want);
+                assert_eq!(lazy.predict(&row).to_bits(), want);
+            }
+        }
+    }
+
+    fn hostile(nodes: &str, n_features: usize) -> Gbdt {
+        let json = format!(
+            r#"{{"base":0.0,"learning_rate":0.1,"n_features":{n_features},"trees":[{{"nodes":[{{"Leaf":1.0}}]}},{{"nodes":{nodes}}}]}}"#
+        );
+        serde_json::from_str(&json).expect("structurally valid JSON")
+    }
+
+    fn split(feature: u32, left: u32, right: u32) -> String {
+        format!(
+            r#"{{"Split":{{"feature":{feature},"threshold":0.5,"bin_cut":1,"left":{left},"right":{right}}}}}"#
+        )
+    }
+
+    #[test]
+    fn validate_rejects_hostile_trees() {
+        let leaf = r#"{"Leaf":2.0}"#;
+        let cases = [
+            (
+                format!("[{},{leaf},{leaf}]", split(2, 1, 2)),
+                ModelError::FeatureOutOfRange {
+                    tree: 1,
+                    node: 0,
+                    feature: 2,
+                    n_features: 2,
+                },
+            ),
+            (
+                format!("[{},{leaf}]", split(0, 1, 7)),
+                ModelError::ChildOutOfRange {
+                    tree: 1,
+                    node: 0,
+                    child: 7,
+                },
+            ),
+            (
+                format!("[{},{leaf}]", split(0, 1, 0)),
+                ModelError::NodeRevisited { tree: 1, node: 0 },
+            ),
+            ("[]".to_owned(), ModelError::EmptyTree { tree: 1 }),
+        ];
+        for (nodes, want) in cases {
+            let model = hostile(&nodes, 2);
+            assert_eq!(model.validate(), Err(want), "nodes {nodes}");
+        }
+        // A chain one level past the cap: split k links leaf (cap + 2 + k)
+        // and split k + 1.
+        let depth = MAX_DEPTH + 1;
+        let mut chain: Vec<String> = (0..depth)
+            .map(|k| split(0, (depth + 1 + k) as u32, (k + 1) as u32))
+            .collect();
+        chain.extend((0..=depth).map(|_| leaf.to_owned()));
+        let model = hostile(&format!("[{}]", chain.join(",")), 2);
+        assert_eq!(model.validate(), Err(ModelError::TooDeep { tree: 1 }));
+        // At the cap itself the chain compiles.
+        let at_cap: Vec<String> = chain[1..depth]
+            .iter()
+            .enumerate()
+            .map(|(k, _)| split(0, (depth + k) as u32, (k + 1) as u32))
+            .chain((0..depth).map(|_| leaf.to_owned()))
+            .collect();
+        let model = hostile(&format!("[{}]", at_cap.join(",")), 2);
+        assert_eq!(model.validate(), Ok(()));
+        assert_eq!(
+            model.predict(&[1.0, 0.0]).to_bits(),
+            model.predict_reference(&[1.0, 0.0]).to_bits()
+        );
+    }
+
+    /// SplitMix64 stream for the property tests' data.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Every split threshold in the ensemble.
+    fn thresholds(model: &Gbdt) -> Vec<f64> {
+        let mut out = Vec::new();
+        for tree in &model.trees {
+            for node in tree.nodes() {
+                if let tree::Node::Split { threshold, .. } = node {
+                    out.push(*threshold);
+                }
+            }
+        }
+        out
+    }
+
+    /// Assert that every compiled entry point matches the reference walk
+    /// bit for bit on `rows`.
+    fn assert_matches_reference(model: &Gbdt, rows: &[f64]) {
+        let nf = model.n_features();
+        let want: Vec<u64> = rows
+            .chunks(nf)
+            .map(|row| model.predict_reference(row).to_bits())
+            .collect();
+        let single: Vec<u64> = rows
+            .chunks(nf)
+            .map(|row| model.predict(row).to_bits())
+            .collect();
+        let batch: Vec<u64> = model
+            .predict_batch(rows)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let mut block = vec![f64::NAN; want.len()];
+        model.predict_block(rows, &mut block);
+        let block: Vec<u64> = block.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(single, want, "predict");
+        assert_eq!(batch, want, "predict_batch");
+        assert_eq!(block, want, "predict_block");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 64,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// The compiled forest is the reference walk, bit for bit: random
+        /// ensembles (mixed tree depths, single-leaf trees when a column is
+        /// constant or a target saturates), rows with NaN, ±∞, ±0.0 and
+        /// exact split thresholds, and row counts off the block size.
+        #[test]
+        fn compiled_forest_matches_reference(
+            max_depth in 1usize..7,
+            n_estimators in 1usize..41,
+            bins in 2usize..65,
+            n_features in 1usize..31,
+            n_rows in 1usize..40,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = Mix(seed);
+            let n_train = 16 + rng.below(120);
+            let constant_target = rng.below(8) == 0;
+            let mut x = Vec::with_capacity(n_train * n_features);
+            let mut y = Vec::with_capacity(n_train);
+            for _ in 0..n_train {
+                let start = x.len();
+                for f in 0..n_features {
+                    // Every third column is constant: splits never use it.
+                    x.push(if f % 3 == 2 { 1.0 } else { rng.unit() * 4.0 - 2.0 });
+                }
+                let row = &x[start..];
+                let signal = if row[0] > 0.0 { 1.0 } else { -0.5 } + row[n_features - 1];
+                y.push(if constant_target { 3.25 } else { signal + 0.1 * rng.unit() });
+            }
+            let cfg = GbdtConfig {
+                n_estimators,
+                max_depth,
+                learning_rate: [0.1, 0.3, 1.0][rng.below(3)],
+                min_samples_leaf: 1 + rng.below(8),
+                subsample: [0.7, 1.0][rng.below(2)],
+                colsample: [0.5, 1.0][rng.below(2)],
+                bins,
+                seed,
+            };
+            let model = Gbdt::fit(&x, n_features, &y, &cfg);
+            let cuts = thresholds(&model);
+            let rows: Vec<f64> = (0..n_rows * n_features)
+                .map(|_| match rng.below(8) {
+                    0 => f64::NAN,
+                    1 => [f64::INFINITY, f64::NEG_INFINITY][rng.below(2)],
+                    2 => [0.0, -0.0][rng.below(2)],
+                    3 | 4 if !cuts.is_empty() => cuts[rng.below(cuts.len())],
+                    _ => rng.unit() * 5.0 - 2.5,
+                })
+                .collect();
+            assert_matches_reference(&model, &rows);
+        }
+    }
+
+    /// One ensemble that holds trees of several depths and single-leaf
+    /// trees: learning rate 1 fits a step exactly in round one, so every
+    /// later residual is zero and those trees are bare leaves.
+    #[test]
+    fn mixed_depth_ensemble_matches_reference() {
+        let x: Vec<f64> = (0..64).flat_map(|i| [i as f64, (i % 5) as f64]).collect();
+        let y: Vec<f64> = (0..64)
+            .map(|i| {
+                if i < 16 {
+                    0.0
+                } else if i < 40 {
+                    2.0
+                } else {
+                    5.0
+                }
+            })
+            .collect();
+        let cfg = GbdtConfig {
+            n_estimators: 6,
+            max_depth: 4,
+            learning_rate: 1.0,
+            min_samples_leaf: 1,
+            subsample: 1.0,
+            colsample: 1.0,
+            bins: 16,
+            seed: 3,
+        };
+        let model = Gbdt::fit(&x, 2, &y, &cfg);
+        let depths: Vec<usize> = model.trees.iter().map(Tree::depth).collect();
+        assert!(depths.contains(&0), "depths {depths:?}");
+        assert!(depths.iter().any(|&d| d > 0), "depths {depths:?}");
+        let mut rows = x.clone();
+        rows.extend([f64::NAN, 0.0, -0.0, f64::INFINITY, 16.0, f64::NEG_INFINITY]);
+        assert_matches_reference(&model, &rows);
     }
 
     #[test]

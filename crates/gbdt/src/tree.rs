@@ -63,7 +63,7 @@ impl Binning {
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
+pub(crate) enum Node {
     Split {
         feature: u32,
         /// Raw-value threshold: go left when `value <= threshold`.
@@ -228,14 +228,20 @@ impl Tree {
         id
     }
 
+    /// The nodes in storage order; node 0 is the root.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
     fn push(&mut self, node: Node) -> u32 {
         let id = self.nodes.len() as u32;
         self.nodes.push(node);
         id
     }
 
-    /// Evaluate on raw feature values.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    /// Evaluate on raw feature values by walking the node links — the
+    /// reference the compiled forest is checked against.
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         let mut cur = 0usize;
         loop {
             match &self.nodes[cur] {

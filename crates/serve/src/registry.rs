@@ -192,7 +192,7 @@ impl ModelRegistry {
     /// [`RegistryError::WrongVersion`] for incompatible files;
     /// [`RegistryError::FingerprintMismatch`] when the embedded config
     /// does not match the header; [`RegistryError::Corrupt`] on parse
-    /// failure.
+    /// failure or a malformed model (see [`AtlasModel::validate`]).
     pub fn load(&self, name: &str) -> Result<SavedModel, RegistryError> {
         validate_name(name)?;
         let path = self.path_for(name);
@@ -246,8 +246,10 @@ impl ModelRegistry {
     }
 }
 
-/// Version-check, fingerprint-check, and deserialize one model file's
-/// contents (`path` only labels errors).
+/// Version-check, fingerprint-check, deserialize, and validate one model
+/// file's contents (`path` only labels errors). Validation compiles the
+/// heads' forests, so a malformed ensemble is a typed `Corrupt` error
+/// here instead of a panic or a hang at its first prediction.
 fn parse_model_file(path: &Path, json: &str) -> Result<SavedModel, RegistryError> {
     // Check the version before attempting to deserialize the weights:
     // a future format may not even parse as today's `ModelFile`.
@@ -268,6 +270,9 @@ fn parse_model_file(path: &Path, json: &str) -> Result<SavedModel, RegistryError
             actual,
         });
     }
+    file.model
+        .validate()
+        .map_err(|e| RegistryError::Corrupt(format!("{}: {e}", path.display())))?;
     Ok(SavedModel {
         header: file.header,
         config: file.config,
@@ -283,9 +288,9 @@ fn parse_model_file(path: &Path, json: &str) -> Result<SavedModel, RegistryError
 /// A catalog is assembled before the service starts — from registry
 /// entries, explicit files ([`ModelCatalog::load_spec`]), or in-memory
 /// models — and handed to `AtlasService::start_catalog`. Every loading
-/// path runs the full registry validation (format version + config
-/// fingerprint), so an incompatible file is rejected at catalog build
-/// time, never at request time.
+/// path runs the full registry validation (format version, config
+/// fingerprint, and a well-formed model), so an incompatible or malformed
+/// file is rejected at catalog build time, never at request time.
 #[derive(Debug, Clone, Default)]
 pub struct ModelCatalog {
     entries: Vec<(String, SavedModel)>,
@@ -491,6 +496,151 @@ mod tests {
         assert_eq!(config_fingerprint(&a), config_fingerprint(&a));
         b.cycles += 1;
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
+    }
+
+    use std::sync::OnceLock;
+
+    use atlas_core::pipeline::train_atlas;
+    use atlas_sim::{simulate, PhasedWorkload};
+    use serde::Value;
+
+    /// A micro model trained once per test process, and its saved file.
+    fn micro_saved() -> &'static (ExperimentConfig, AtlasModel, String) {
+        static SAVED: OnceLock<(ExperimentConfig, AtlasModel, String)> = OnceLock::new();
+        SAVED.get_or_init(|| {
+            let mut cfg = ExperimentConfig::quick();
+            cfg.cycles = 12;
+            cfg.scale = 0.12;
+            cfg.pretrain.steps = 10;
+            cfg.pretrain.hidden_dim = 12;
+            cfg.finetune.cycles_per_design = 4;
+            cfg.finetune.gbdt.n_estimators = 12;
+            let model = train_atlas(&cfg).model;
+            let dir = scratch_dir("micro");
+            let path = ModelRegistry::open(&dir)
+                .expect("registry opens")
+                .save("micro", &model, &cfg)
+                .expect("saves");
+            let json = fs::read_to_string(path).expect("reads back");
+            let _ = fs::remove_dir_all(&dir);
+            (cfg, model, json)
+        })
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("atlas-registry-{tag}-{}", std::process::id()))
+    }
+
+    fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+        match value {
+            Value::Map(entries) => {
+                &mut entries
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("no field `{key}`"))
+                    .1
+            }
+            other => panic!("`{key}` looked up in a {}", other.kind()),
+        }
+    }
+
+    fn split(feature: u64, left: u64, right: u64) -> Value {
+        let fields = vec![
+            ("feature".to_owned(), Value::UInt(feature)),
+            ("threshold".to_owned(), Value::Float(0.5)),
+            ("bin_cut".to_owned(), Value::UInt(1)),
+            ("left".to_owned(), Value::UInt(left)),
+            ("right".to_owned(), Value::UInt(right)),
+        ];
+        Value::Map(vec![("Split".to_owned(), Value::Map(fields))])
+    }
+
+    fn leaf() -> Value {
+        Value::Map(vec![("Leaf".to_owned(), Value::Float(0.25))])
+    }
+
+    /// The saved micro model with `edit` applied to its `f_ct` head, loaded
+    /// back through the registry.
+    fn load_edited(tag: &str, edit: impl FnOnce(&mut Value)) -> Result<SavedModel, RegistryError> {
+        let (_, _, json) = micro_saved();
+        let mut root = serde_json::from_str_value(json).expect("parses");
+        let head = ["model", "heads", "f_ct"]
+            .iter()
+            .fold(&mut root, |v, key| field_mut(v, key));
+        edit(head);
+        let dir = scratch_dir(tag);
+        fs::create_dir_all(&dir).expect("creates");
+        let path = dir.join(format!("{tag}{SUFFIX}"));
+        fs::write(&path, serde_json::to_string(&root).expect("renders")).expect("writes");
+        let loaded = ModelRegistry::open(&dir).expect("opens").load(tag);
+        let _ = fs::remove_dir_all(&dir);
+        loaded
+    }
+
+    /// Replace the first tree of the edited head with `nodes`.
+    fn first_tree(nodes: Vec<Value>) -> impl FnOnce(&mut Value) {
+        move |head| match field_mut(head, "trees") {
+            Value::Seq(trees) => *field_mut(&mut trees[0], "nodes") = Value::Seq(nodes),
+            other => panic!("trees is a {}", other.kind()),
+        }
+    }
+
+    fn assert_corrupt(result: Result<SavedModel, RegistryError>, needle: &str) {
+        match result {
+            Err(RegistryError::Corrupt(msg)) => {
+                assert!(msg.contains(needle), "`{msg}` lacks `{needle}`")
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a hostile model loaded"),
+        }
+    }
+
+    #[test]
+    fn loaded_model_predicts_bit_identically() {
+        let (cfg, model, _) = micro_saved();
+        let loaded = load_edited("intact", |_| {}).expect("the saved model loads");
+        assert_eq!(&loaded.model, model);
+        let lib = cfg.library();
+        let gate = cfg.design("C2").generate();
+        let trace = simulate(&gate, &mut PhasedWorkload::w1(1), 80).expect("simulates");
+        let render = |m: &AtlasModel| {
+            serde_json::to_string(&m.predict(&gate, &lib, &trace)).expect("renders")
+        };
+        assert_eq!(render(&loaded.model), render(model));
+    }
+
+    #[test]
+    fn split_feature_past_the_width_is_corrupt() {
+        let edit = first_tree(vec![split(12, 1, 2), leaf(), leaf()]);
+        assert_corrupt(load_edited("feature", edit), "splits on feature 12");
+    }
+
+    #[test]
+    fn child_link_past_the_tree_is_corrupt() {
+        let edit = first_tree(vec![split(0, 1, 9), leaf()]);
+        assert_corrupt(load_edited("child", edit), "links to missing node 9");
+    }
+
+    #[test]
+    fn cyclic_child_link_is_corrupt() {
+        let edit = first_tree(vec![split(0, 1, 0), leaf()]);
+        assert_corrupt(load_edited("cycle", edit), "reaches node 0 twice");
+    }
+
+    #[test]
+    fn tree_deeper_than_the_cap_is_corrupt() {
+        // A chain of splits one level past the cap: split k's left child
+        // is a leaf, its right child split k + 1.
+        let depth = atlas_gbdt::MAX_DEPTH as u64 + 1;
+        let mut nodes: Vec<Value> = (0..depth).map(|k| split(0, depth + 1 + k, k + 1)).collect();
+        nodes.extend((0..=depth).map(|_| leaf()));
+        assert_corrupt(load_edited("deep", first_tree(nodes)), "deeper than");
+    }
+
+    #[test]
+    fn head_width_mismatch_is_corrupt() {
+        let edit = |head: &mut Value| *field_mut(head, "n_features") = Value::UInt(5);
+        assert_corrupt(load_edited("width", edit), "head f_ct reads 5 features");
     }
 
     #[test]

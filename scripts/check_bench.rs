@@ -15,7 +15,9 @@
 //! # MAX_RATIO; the fresh batched-vs-per-cycle speedup must stay above
 //! # a floor; when the fresh run dispatched a SIMD kernel, its in-run
 //! # SIMD-over-scalar speedup must clear SIMD_SPEEDUP_FLOOR; and the
-//! # f32-storage rows' accuracy delta must stay within its tolerance
+//! # f32-storage rows' accuracy delta must stay within its tolerance; and
+//! # the compiled GBDT heads must match the reference walk bit for bit
+//! # and beat it by HEADS_SPEEDUP_FLOOR in the same run
 //! ./check_bench --infer BENCH_infer.json BENCH_infer.ci.json 2.0
 //! # shard gate: two shards behind the proxy must clear the scale-out
 //! # floor over one, a shard restarted from its cache snapshot must not
@@ -37,7 +39,7 @@
 //! comparing across runners — a baseline recorded on an AVX2 machine is
 //! not a fair throughput bar for a scalar-only runner, which is why the
 //! cross-run gates are loose ratios while the strict floors
-//! (`speedup`, `simd_speedup`, `f32_max_rel_delta`) compare numbers
+//! (`speedup`, `simd_speedup`, `f32_max_rel_delta`, `heads.speedup`) compare numbers
 //! measured *inside one fresh run*. Never "fix" a gate failure by
 //! refreshing the baseline without understanding the regression; the
 //! refresh is for deliberate perf changes, not drift.
@@ -79,6 +81,12 @@ const SHARD_RESTORE_MAX_RATIO: f64 = 2.0;
 /// `DELTA_SPEEDUP_FLOOR` in `crates/serve/src/bin/serve_bench.rs`.
 const DELTA_SPEEDUP_FLOOR: f64 = 2.0;
 
+/// Minimum compiled-forest-over-reference-walk speedup the GBDT heads
+/// must show in a fresh `infer_bench` report (`heads.speedup`). Both
+/// arms evaluate the same rows in the same process, so the ratio is
+/// runner-class independent; the reference machine measures 2–3x.
+const HEADS_SPEEDUP_FLOOR: f64 = 1.5;
+
 /// Maximum victim-model p50 inflation the quota-storm scenario may show:
 /// while one model's cold storm saturates its quota, another model's
 /// warm p50 must stay within this factor of its no-storm p50. Both
@@ -86,9 +94,9 @@ const DELTA_SPEEDUP_FLOOR: f64 = 2.0;
 /// ratio is runner-class independent.
 const QUOTA_STORM_MAX_RATIO: f64 = 3.0;
 
-/// Extract `field` from inside the top-level `object` of a serde-style
-/// pretty-printed JSON report.
-fn extract(json: &str, object: &str, field: &str) -> Result<f64, String> {
+/// The text right after `"field":` inside the top-level `object` of a
+/// serde-style pretty-printed JSON report.
+fn field_text<'a>(json: &'a str, object: &str, field: &str) -> Result<&'a str, String> {
     let obj_key = format!("\"{object}\"");
     let start = json
         .find(&obj_key)
@@ -122,7 +130,12 @@ fn extract(json: &str, object: &str, field: &str) -> Result<f64, String> {
     let colon = after
         .find(':')
         .ok_or_else(|| format!("malformed `{field}`"))?;
-    let rest = after[colon + 1..].trim_start();
+    Ok(after[colon + 1..].trim_start())
+}
+
+/// Extract the number `field` from inside the top-level `object`.
+fn extract(json: &str, object: &str, field: &str) -> Result<f64, String> {
+    let rest = field_text(json, object, field)?;
     let number: String = rest
         .chars()
         .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
@@ -130,6 +143,18 @@ fn extract(json: &str, object: &str, field: &str) -> Result<f64, String> {
     number
         .parse()
         .map_err(|e| format!("bad `{object}.{field}` number `{number}`: {e}"))
+}
+
+/// Extract the boolean `field` from inside the top-level `object`.
+fn extract_bool(json: &str, object: &str, field: &str) -> Result<bool, String> {
+    let rest = field_text(json, object, field)?;
+    if rest.starts_with("true") {
+        Ok(true)
+    } else if rest.starts_with("false") {
+        Ok(false)
+    } else {
+        Err(format!("`{object}.{field}` is not a boolean"))
+    }
 }
 
 fn run() -> Result<(), String> {
@@ -225,6 +250,24 @@ fn run() -> Result<(), String> {
             return Err(format!(
                 "f32 embed accuracy delta {f32_delta:.2e} exceeded its \
                  tolerance {f32_tolerance:.2e}"
+            ));
+        }
+
+        // Heads gate: the compiled GBDT forest must stay bit-identical to
+        // the reference tree walk and keep its in-run speedup.
+        let heads_parity = extract_bool(&fresh, "heads", "parity")?;
+        let heads_speedup = extract(&fresh, "heads", "speedup")?;
+        println!(
+            "gbdt heads: compiled over reference {heads_speedup:.2}x \
+             (floor {HEADS_SPEEDUP_FLOOR:.2}x), parity {heads_parity}"
+        );
+        if !heads_parity {
+            return Err("compiled GBDT heads diverged from the reference walk".into());
+        }
+        if heads_speedup < HEADS_SPEEDUP_FLOOR {
+            return Err(format!(
+                "compiled GBDT heads speedup fell to {heads_speedup:.2}x \
+                 (< {HEADS_SPEEDUP_FLOOR:.2}x floor)"
             ));
         }
         return Ok(());

@@ -28,11 +28,13 @@ use std::process::ExitCode;
 
 /// Files reachable from the untrusted ingestion paths: the liblite
 /// lexer/parser, the Verilog reader, the writer it round-trips with, the
-/// builder both parsers reconstruct through, and the serve wire protocol
+/// builder both parsers reconstruct through, the serve wire protocol
 /// (request parsing for every verb — including the `predict_delta` edit
 /// specs and `sweep` item lists — plus error salvage, all fed raw client
-/// bytes).
-const PARSE_PATHS: [&str; 6] = [
+/// bytes), and the GBDT forest compiler that validates the trees of every
+/// model file the registry loads.
+const PARSE_PATHS: [&str; 7] = [
+    "crates/gbdt/src/forest.rs",
     "crates/liberty/src/error.rs",
     "crates/liberty/src/format.rs",
     "crates/netlist/src/builder.rs",
