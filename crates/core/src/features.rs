@@ -316,6 +316,26 @@ pub struct SideFeatures {
     pub mem_bits: f64,
 }
 
+impl SideFeatures {
+    /// Every field's bit pattern, in declaration order. Equal arrays mean
+    /// the heads read identical inputs — unlike `==`, which equates `0.0`
+    /// with `-0.0` and never matches a NaN.
+    pub fn to_bits(&self) -> [u64; 9] {
+        [
+            self.n_comb,
+            self.i_comb,
+            self.c_comb,
+            self.n_reg,
+            self.i_reg,
+            self.c_reg,
+            self.mem_reads,
+            self.mem_writes,
+            self.mem_bits,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
 /// Per-cell class/energy data of one sub-module, resolved against the
 /// library **once** so per-cycle side features are a single pass over the
 /// cells with no hash lookups. [`side_features`] resolves the same data

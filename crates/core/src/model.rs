@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use atlas_liberty::{Library, PowerGroup};
-use atlas_netlist::{Design, Stage};
+use atlas_netlist::{Design, Stage, SubmoduleId};
 use atlas_nn::{EncoderState, InferenceEncoder};
 use atlas_power::PowerTrace;
 use atlas_sim::ToggleTrace;
@@ -20,7 +20,7 @@ use crate::finetune::{HeadScratch, PowerHeads};
 pub const F32_EMBED_TOLERANCE: f64 = 1e-3;
 
 /// Rows per [`PowerHeads::predict_block`] call in
-/// [`AtlasModel::predict_from_embeddings`].
+/// [`AtlasModel::predict_reusing`].
 const HEAD_BLOCK: usize = 64;
 
 /// Storage precision of cached embedding rows. The encoder always
@@ -83,7 +83,7 @@ impl PreparedEncoder {
 
 /// Per-cycle graph embeddings of one sub-module at their storage
 /// [`Precision`] — f32 rows (the f64 rows narrowed) cost half the cache
-/// bytes of f64 rows, which doubles what fits a byte-budgeted embedding
+/// bytes of f64 rows, so more traces fit a byte-budgeted embedding
 /// cache.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EmbeddingTable {
@@ -169,8 +169,9 @@ pub struct SubmoduleEmbeddings {
 /// construction and encoder forwards dominate the prediction cost, and
 /// both are fully determined by the design and the toggle trace. A
 /// serving layer can keep `TraceEmbeddings` keyed by (design, workload,
-/// cycles) and answer repeat requests with only the cheap head stage
-/// ([`AtlasModel::predict_from_embeddings`]).
+/// cycles), together with the [`PowerTrace`] the heads made of them
+/// ([`AtlasModel::predict_from_embeddings`]), and answer repeat requests
+/// from the pair without running either stage again.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceEmbeddings {
     design: String,
@@ -197,9 +198,20 @@ impl TraceEmbeddings {
         &self.per_submodule
     }
 
-    /// Approximate heap size in bytes (for cache accounting). f32 tables
-    /// report half the bytes of f64 tables, so a byte-budgeted cache holds
-    /// twice the traces at f32 storage.
+    /// Sub-modules of the design, i.e. the width of the [`PowerTrace`]
+    /// predicted from these embeddings.
+    pub fn submodule_count(&self) -> usize {
+        self.n_submodules
+    }
+
+    /// (sub-module × cycle) rows the heads evaluate over these embeddings.
+    pub fn rows(&self) -> usize {
+        self.per_submodule.iter().map(|s| s.sides.len()).sum()
+    }
+
+    /// Approximate heap size in bytes (for cache accounting). f32 rows
+    /// report half the bytes of f64 rows, so a byte-budgeted cache holds
+    /// more traces at f32 storage.
     pub fn approx_bytes(&self) -> usize {
         self.per_submodule
             .iter()
@@ -225,6 +237,80 @@ pub struct DeltaStats {
     pub reused_cycles: usize,
     /// (sub-module × cycle) items answered from freshly encoded rows.
     pub recomputed_cycles: usize,
+}
+
+/// A base trace's tables indexed by sub-module: the donor side of both
+/// delta paths ([`AtlasModel::embed_trace_delta_with`] for rows,
+/// [`AtlasModel::predict_reusing`] for watts), so the two cannot disagree
+/// on which items a base may donate.
+struct Donors<'a>(HashMap<usize, &'a SubmoduleEmbeddings>);
+
+impl<'a> Donors<'a> {
+    fn new(base: &'a TraceEmbeddings) -> Donors<'a> {
+        Donors(
+            base.per_submodule
+                .iter()
+                .map(|s| (s.submodule, s))
+                .collect(),
+        )
+    }
+
+    /// The base table that may donate to `submodule` when that
+    /// sub-module is encoded against `graph_fp` and stored at
+    /// `precision`, with the first base cycle of each pattern digest (any
+    /// occurrence donates the same row bits, so first-wins is as good as
+    /// any). `None` unless both keys match: f32 rows are lossy, so they
+    /// cannot stand in for f64 rows.
+    fn table(
+        &self,
+        submodule: usize,
+        graph_fp: u64,
+        precision: Precision,
+    ) -> Option<(&'a SubmoduleEmbeddings, HashMap<u64, usize>)> {
+        let table = self
+            .0
+            .get(&submodule)
+            .copied()
+            .filter(|b| b.graph_fp == graph_fp && b.embeddings.precision() == precision)?;
+        let mut first = HashMap::new();
+        for (t, &d) in table.pattern_digests.iter().enumerate() {
+            first.entry(d).or_insert(t);
+        }
+        Some((table, first))
+    }
+}
+
+/// Run the heads over `cycles` (indices into one table's `rows` and
+/// `sides`) a block at a time and add each row's four group watts into
+/// `out`. Rows are evaluated independently, so which rows share a block
+/// never changes their bits.
+fn eval_rows<T: Copy + Into<f64>>(
+    heads: &PowerHeads,
+    submodule: usize,
+    rows: &[Vec<T>],
+    sides: &[SideFeatures],
+    cycles: &[usize],
+    scratch: &mut HeadScratch,
+    out: &mut PowerTrace,
+) {
+    let mut picked: [&[T]; HEAD_BLOCK] = [&[]; HEAD_BLOCK];
+    let mut block_sides = [SideFeatures::default(); HEAD_BLOCK];
+    let mut groups = [[0.0; 3]; HEAD_BLOCK];
+    for chunk in cycles.chunks(HEAD_BLOCK) {
+        let n = chunk.len();
+        for (i, &t) in chunk.iter().enumerate() {
+            picked[i] = &rows[t];
+            block_sides[i] = sides[t];
+        }
+        heads.predict_block(&picked[..n], &block_sides[..n], scratch, &mut groups[..n]);
+        for ((&t, side), &[comb, reg, ct]) in chunk.iter().zip(&block_sides).zip(&groups) {
+            let mem = heads.memory.predict(side);
+            out.add(t, submodule, PowerGroup::Combinational.index(), comb);
+            out.add(t, submodule, PowerGroup::Register.index(), reg);
+            out.add(t, submodule, PowerGroup::ClockTree.index(), ct);
+            out.add(t, submodule, PowerGroup::Memory.index(), mem);
+        }
+    }
 }
 
 /// Digest of one packed toggle pattern: FNV-1a over the node count and
@@ -731,11 +817,7 @@ impl AtlasModel {
     ) -> (TraceEmbeddings, DeltaStats) {
         let threads = resolve_threads(threads);
         let scan = scan_trace(gate, lib, data, trace, threads);
-        let base_by_sm: HashMap<usize, &SubmoduleEmbeddings> = base
-            .per_submodule
-            .iter()
-            .map(|s| (s.submodule, s))
-            .collect();
+        let donors = Donors::new(base);
 
         let mut stats = DeltaStats::default();
         let mut scratch = Vec::new();
@@ -751,29 +833,18 @@ impl AtlasModel {
             .map(|u| vec![false; u.len()])
             .collect();
         for (sm, smd) in data.iter().enumerate() {
-            // Only a table at the encoder's own storage precision
-            // donates. f32 rows are lossy, so they cannot stand in for f64
-            // rows; within f32 a donated row is widened here and narrowed
-            // again at assembly, which returns the same bits.
-            let donor = base_by_sm
-                .get(&smd.submodule().index())
-                .copied()
-                .filter(|b| b.graph_fp == smd.structural_fingerprint())
-                .filter(|b| b.embeddings.precision() == encoder.precision());
-            // First base cycle per digest; any occurrence donates the
-            // same row bits, so first-wins is as good as any.
-            let digest_cycle: HashMap<u64, usize> = donor
-                .map(|b| {
-                    let mut m = HashMap::new();
-                    for (t, &d) in b.pattern_digests.iter().enumerate() {
-                        m.entry(d).or_insert(t);
-                    }
-                    m
-                })
-                .unwrap_or_default();
+            // Within f32 a donated row is widened here and narrowed again
+            // at assembly, which returns the same bits.
+            let donor = donors.table(
+                smd.submodule().index(),
+                smd.structural_fingerprint(),
+                encoder.precision(),
+            );
             for (slot, bits) in scan.uniq_bits[sm].iter().enumerate() {
                 let digest = pattern_digest(smd.node_count(), bits);
-                let hit = donor.and_then(|b| digest_cycle.get(&digest).map(|&t| (b, t)));
+                let hit = donor
+                    .as_ref()
+                    .and_then(|(b, first)| first.get(&digest).map(|&t| (*b, t)));
                 match hit {
                     Some((b, t)) => {
                         uniq_rows[sm][slot] = b.embeddings.row_f64(t, &mut scratch).to_vec();
@@ -807,48 +878,118 @@ impl AtlasModel {
         (out, stats)
     }
 
-    /// Inference stage two (cheap): run the fine-tuned heads over
-    /// precomputed [`TraceEmbeddings`]. This is all a serving layer pays
-    /// on a cache hit.
-    ///
-    /// Each sub-module's cycles go through the heads in blocks of 64 rows
-    /// (f32 rows widened a block at a time) with one
-    /// reused [`HeadScratch`], so no row allocates; watts are
-    /// bit-identical to evaluating each row alone.
+    /// Inference stage two: run the fine-tuned heads over precomputed
+    /// [`TraceEmbeddings`] — [`predict_reusing`](Self::predict_reusing)
+    /// with no donor.
     pub fn predict_from_embeddings(&self, embeddings: &TraceEmbeddings) -> PowerTrace {
+        self.predict_reusing(embeddings, None).0
+    }
+
+    /// Inference stage two with an optional donor: `(base, watts)`, where
+    /// `watts` is what this model predicted from `base`. Returns the
+    /// watts and how many (sub-module × cycle) rows were copied from the
+    /// donor instead of evaluated.
+    ///
+    /// A row copies its donor's four group watts only when the
+    /// sub-module's `graph_fp` and storage precision match the base's
+    /// table, the cycle's pattern digest occurs in that table (the first
+    /// such base cycle donates, as in
+    /// [`embed_trace_delta_with`](Self::embed_trace_delta_with)), and the
+    /// two cycles' [`SideFeatures`] are bit-equal. The heads would then
+    /// read bit-identical inputs, so copying returns the bits evaluating
+    /// would.
+    ///
+    /// Every other row goes through the heads in blocks of 64 (f32 rows
+    /// widened a block at a time) with one reused [`HeadScratch`], so no
+    /// row allocates; watts are bit-identical to evaluating each row
+    /// alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `watts` is smaller than the trace `base` describes, or
+    /// if either trace fails [`can_predict`](Self::can_predict).
+    pub fn predict_reusing(
+        &self,
+        embeddings: &TraceEmbeddings,
+        donor: Option<(&TraceEmbeddings, &PowerTrace)>,
+    ) -> (PowerTrace, usize) {
         let mut out = PowerTrace::new(
             embeddings.design.clone(),
             embeddings.workload.clone(),
             embeddings.cycles,
             embeddings.n_submodules,
         );
+        let donor = donor.map(|(base, watts)| (Donors::new(base), watts));
+        let mut reused = 0;
         let mut scratch = HeadScratch::default();
-        let mut groups = [[0.0; 3]; HEAD_BLOCK];
+        let mut fresh: Vec<usize> = Vec::new();
         for sm in &embeddings.per_submodule {
-            for start in (0..sm.sides.len()).step_by(HEAD_BLOCK) {
-                let end = (start + HEAD_BLOCK).min(sm.sides.len());
-                let sides = &sm.sides[start..end];
-                let block = &mut groups[..end - start];
-                match &sm.embeddings {
-                    EmbeddingTable::F64(rows) => {
-                        self.heads
-                            .predict_block(&rows[start..end], sides, &mut scratch, block)
+            fresh.clear();
+            let table = donor.as_ref().and_then(|(donors, watts)| {
+                let (b, first) =
+                    donors.table(sm.submodule, sm.graph_fp, sm.embeddings.precision())?;
+                Some((b, first, *watts))
+            });
+            for (t, side) in sm.sides.iter().enumerate() {
+                let hit = table.as_ref().and_then(|(b, first, watts)| {
+                    let &u = first.get(sm.pattern_digests.get(t)?)?;
+                    let same_side = b.sides.get(u)?.to_bits() == side.to_bits();
+                    same_side.then_some((b.submodule, u, *watts))
+                });
+                match hit {
+                    Some((donor_sm, u, watts)) => {
+                        let id = SubmoduleId::from_index(donor_sm);
+                        for group in PowerGroup::ALL {
+                            out.add(t, sm.submodule, group.index(), watts.at(u, id, group));
+                        }
+                        reused += 1;
                     }
-                    EmbeddingTable::F32(rows) => {
-                        self.heads
-                            .predict_block(&rows[start..end], sides, &mut scratch, block)
-                    }
-                }
-                for ((t, side), &[comb, reg, ct]) in (start..end).zip(sides).zip(block.iter()) {
-                    let mem = self.heads.memory.predict(side);
-                    out.add(t, sm.submodule, PowerGroup::Combinational.index(), comb);
-                    out.add(t, sm.submodule, PowerGroup::Register.index(), reg);
-                    out.add(t, sm.submodule, PowerGroup::ClockTree.index(), ct);
-                    out.add(t, sm.submodule, PowerGroup::Memory.index(), mem);
+                    None => fresh.push(t),
                 }
             }
+            match &sm.embeddings {
+                EmbeddingTable::F64(rows) => eval_rows(
+                    &self.heads,
+                    sm.submodule,
+                    rows,
+                    &sm.sides,
+                    &fresh,
+                    &mut scratch,
+                    &mut out,
+                ),
+                EmbeddingTable::F32(rows) => eval_rows(
+                    &self.heads,
+                    sm.submodule,
+                    rows,
+                    &sm.sides,
+                    &fresh,
+                    &mut scratch,
+                    &mut out,
+                ),
+            }
         }
-        out
+        (out, reused)
+    }
+
+    /// Whether the heads can run over `embeddings` without panicking:
+    /// every table has one row per cycle, each [`embed_dim`] wide, and
+    /// addresses a sub-module of the design. Embeddings this model made
+    /// always pass; the check is for ones read back from a file.
+    ///
+    /// [`embed_dim`]: PowerHeads::embed_dim
+    pub fn can_predict(&self, embeddings: &TraceEmbeddings) -> bool {
+        let width = self.heads.embed_dim;
+        embeddings.per_submodule.iter().all(|s| {
+            let rows_ok = match &s.embeddings {
+                EmbeddingTable::F64(rows) => rows.iter().all(|r| r.len() == width),
+                EmbeddingTable::F32(rows) => rows.iter().all(|r| r.len() == width),
+            };
+            s.submodule < embeddings.n_submodules
+                && s.embeddings.len() == embeddings.cycles
+                && s.sides.len() == embeddings.cycles
+                && s.pattern_digests.len() == embeddings.cycles
+                && rows_ok
+        })
     }
 
     /// Check a model read from an untrusted file and compile its heads,
@@ -1169,6 +1310,168 @@ mod tests {
                 serde_json::to_string(&want).expect("serializes"),
                 "{precision} heads diverged from the reference fold"
             );
+        }
+    }
+
+    /// Watts compared by bit pattern: shortest round-trip JSON floats are
+    /// distinct per bit pattern, unlike `==` on f64.
+    fn watt_bits(trace: &PowerTrace) -> String {
+        serde_json::to_string(trace).expect("serializes")
+    }
+
+    /// `predict_reusing` against `donor` must equal a donor-free predict
+    /// bit for bit and copy exactly `want_reused` rows.
+    fn assert_reuse(
+        model: &AtlasModel,
+        target: &TraceEmbeddings,
+        donor: &TraceEmbeddings,
+        want_reused: usize,
+    ) {
+        let reference = model.predict_from_embeddings(target);
+        let donor_watts = model.predict_from_embeddings(donor);
+        let (got, reused) = model.predict_reusing(target, Some((donor, &donor_watts)));
+        assert_eq!(watt_bits(&got), watt_bits(&reference));
+        assert_eq!(reused, want_reused);
+    }
+
+    #[test]
+    fn reusing_an_identical_trace_copies_every_row() {
+        let (model, bundle, lib) = tiny_model();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        for precision in [Precision::F64, Precision::F32] {
+            let enc = model.prepare(precision);
+            let emb =
+                model.embed_trace_with(&enc, &bundle.gate, &lib, &data, &bundle.gate_trace, 2);
+            assert_reuse(&model, &emb, &emb, emb.rows());
+            let (alone, reused) = model.predict_reusing(&emb, None);
+            assert_eq!(reused, 0);
+            assert_eq!(
+                watt_bits(&alone),
+                watt_bits(&model.predict_from_embeddings(&emb))
+            );
+        }
+    }
+
+    #[test]
+    fn reusing_evaluates_rows_whose_side_features_differ() {
+        let (model, bundle, lib) = tiny_model();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        let enc = model.prepare(Precision::F64);
+        let target = model.embed_trace_with(&enc, &bundle.gate, &lib, &data, &bundle.gate_trace, 2);
+        // Same rows and digests, but cycle 0's side row has one sign
+        // flipped: its bits always differ, even for a 0.0 that `==`
+        // would still call equal.
+        let mut donor = target.clone();
+        for s in &mut donor.per_submodule {
+            s.sides[0].i_comb = -s.sides[0].i_comb;
+        }
+        // Cycle 0 of each table, and every cycle sharing its digest (the
+        // first base cycle of a digest donates), must be evaluated.
+        let skipped: usize = target
+            .per_submodule
+            .iter()
+            .map(|s| {
+                let d = s.pattern_digests[0];
+                s.pattern_digests.iter().filter(|&&x| x == d).count()
+            })
+            .sum();
+        assert!(skipped > 0);
+        assert_reuse(&model, &target, &donor, target.rows() - skipped);
+    }
+
+    #[test]
+    fn reusing_evaluates_tables_whose_graph_or_precision_differ() {
+        let (model, bundle, lib) = tiny_model();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        let trace = &bundle.gate_trace;
+        let wide = model.embed_trace_with(
+            &model.prepare(Precision::F64),
+            &bundle.gate,
+            &lib,
+            &data,
+            trace,
+            2,
+        );
+        let narrow = model.embed_trace_with(
+            &model.prepare(Precision::F32),
+            &bundle.gate,
+            &lib,
+            &data,
+            trace,
+            2,
+        );
+        // Same digests and side rows, other storage precision: nothing
+        // may be copied, in either direction.
+        assert_reuse(&model, &wide, &narrow, 0);
+        assert_reuse(&model, &narrow, &wide, 0);
+        // One sub-module's graph fingerprint differs: only its rows are
+        // evaluated.
+        let mut donor = wide.clone();
+        donor.per_submodule[0].graph_fp ^= 1;
+        let moved = wide.per_submodule[0].sides.len();
+        assert!(moved > 0);
+        assert_reuse(&model, &wide, &donor, wide.rows() - moved);
+    }
+
+    #[test]
+    fn reusing_a_shorter_or_longer_base_stays_exact() {
+        use atlas_sim::{simulate, PhasedWorkload};
+        let (model, bundle, lib) = tiny_model();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        let short = simulate(&bundle.gate, &mut PhasedWorkload::w1(1), 7).expect("simulates");
+        let long = simulate(&bundle.gate, &mut PhasedWorkload::w1(1), 150).expect("simulates");
+        for precision in [Precision::F64, Precision::F32] {
+            let enc = model.prepare(precision);
+            let short = model.embed_trace_with(&enc, &bundle.gate, &lib, &data, &short, 2);
+            let long = model.embed_trace_with(&enc, &bundle.gate, &lib, &data, &long, 2);
+            // A row is copied exactly when its digest occurs in the donor
+            // and the first such donor cycle has bit-equal side features.
+            let expected = |target: &TraceEmbeddings, donor: &TraceEmbeddings| -> usize {
+                let donors = Donors::new(donor);
+                target
+                    .per_submodule
+                    .iter()
+                    .map(|s| {
+                        let Some((b, first)) =
+                            donors.table(s.submodule, s.graph_fp, s.embeddings.precision())
+                        else {
+                            return 0;
+                        };
+                        (0..s.sides.len())
+                            .filter(|&t| {
+                                first
+                                    .get(&s.pattern_digests[t])
+                                    .is_some_and(|&u| b.sides[u].to_bits() == s.sides[t].to_bits())
+                            })
+                            .count()
+                    })
+                    .sum()
+            };
+            let (grow, shrink) = (expected(&long, &short), expected(&short, &long));
+            assert!(grow > 0 && grow < long.rows(), "{grow} of {}", long.rows());
+            assert!(shrink > 0, "the longer base covers the shorter trace");
+            assert_reuse(&model, &long, &short, grow);
+            assert_reuse(&model, &short, &long, shrink);
+        }
+    }
+
+    #[test]
+    fn can_predict_rejects_misshapen_embeddings() {
+        let (model, bundle, lib) = tiny_model();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        let enc = model.prepare(Precision::F64);
+        let emb = model.embed_trace_with(&enc, &bundle.gate, &lib, &data, &bundle.gate_trace, 2);
+        assert!(model.can_predict(&emb));
+        let mut short_sides = emb.clone();
+        short_sides.per_submodule[0].sides.pop();
+        let mut stray = emb.clone();
+        stray.per_submodule[0].submodule = emb.n_submodules;
+        let mut narrow_row = emb.clone();
+        if let EmbeddingTable::F64(rows) = &mut narrow_row.per_submodule[0].embeddings {
+            rows[0].pop();
+        }
+        for bad in [short_sides, stray, narrow_row] {
+            assert!(!model.can_predict(&bad));
         }
     }
 

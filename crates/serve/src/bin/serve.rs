@@ -29,9 +29,10 @@
 //! to the JSON-lines journal and are replayed at the next startup.
 //! `--precision f32` stores every hosted model's cached embeddings as
 //! f32: the encoder still computes in f64 and each row is narrowed once,
-//! so entries cost half the bytes and the same `--cache-mb` budget holds
-//! twice the traces, at one f32 rounding of accuracy instead of bit
-//! parity with f64.
+//! so embedding rows cost half the bytes and the same `--cache-mb`
+//! budget holds more traces (≈1.5× at hidden 24, counting the cached
+//! watts), at one f32 rounding of accuracy instead of bit parity with
+//! f64.
 //!
 //! Both transports hand every line to the one dispatcher, the reactor's
 //! `Frontend` implementation for `AtlasService`. In stdio mode
@@ -156,8 +157,8 @@ fn parse_args() -> Result<Args, String> {
                      [--shard-id N] [--cache-snapshot PATH] | --list)\n\
                      SPEC is NAME, ALIAS=NAME, or ALIAS=PATH (an .atlas.json file)\n\
                      --precision f32 stores cached embedding rows as f32 (computed \
-                     in f64, then narrowed): half the bytes, so the --cache-mb budget \
-                     holds twice the traces\n\
+                     in f64, then narrowed): half the embedding bytes, so the --cache-mb \
+                     budget holds more traces\n\
                      --model-quota caps workers tied up in NAME's cold requests \
                      (default: workers / hosted models)\n\
                      --workload-file journals register_workload calls and replays \
@@ -313,10 +314,13 @@ fn serve_stdio(service: &AtlasService) -> ExitCode {
     );
     for m in &stats.models {
         eprintln!(
-            "  model `{}`: {} requests, {} embeddings computed, cache {}/{} bytes",
+            "  model `{}`: {} requests, {} embeddings computed, \
+             {} head rows evaluated ({} reused), cache {}/{} bytes",
             m.model,
             m.requests,
             m.embeddings_computed,
+            m.head_rows_evaluated,
+            m.head_rows_reused,
             m.embedding_cache.weight,
             m.embedding_cache.budget,
         );

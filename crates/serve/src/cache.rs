@@ -2,7 +2,7 @@
 //!
 //! Admission and eviction are driven by a **weight budget** rather than an
 //! entry count: every entry carries a weight (bytes, for the embedding
-//! cache — see `TraceEmbeddings::approx_bytes`) and the cache evicts
+//! cache — see `CachedTrace::weight`) and the cache evicts
 //! least-recently-used entries until the total weight fits the budget.
 //! Unit-weight entries ([`LruCache::insert`]) recover the classic
 //! count-bounded cache, which is what the design-artifact cache uses.

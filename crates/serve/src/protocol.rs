@@ -384,6 +384,13 @@ pub struct StatsResponse {
     /// computation instead of recomputing (single-flight), across all
     /// models.
     pub coalesced_requests: u64,
+    /// (sub-module × cycle) rows run through the GBDT heads, across all
+    /// models. Each computed trace evaluates its rows once; cache hits
+    /// and single-flight followers evaluate none.
+    pub head_rows_evaluated: u64,
+    /// (sub-module × cycle) rows whose watts a `predict_delta` copied
+    /// from its cached base instead of evaluating, across all models.
+    pub head_rows_reused: u64,
     /// Aggregate embedding-cache counters; `weight`/`budget` are
     /// **bytes**, summed over models (each model has its own cache).
     pub embedding_cache: CacheStats,
@@ -417,6 +424,8 @@ pub fn stats_response(id: Option<u64>, stats: &ServiceStats) -> StatsResponse {
         errors: stats.errors,
         embeddings_computed: stats.embeddings_computed,
         coalesced_requests: stats.coalesced_requests,
+        head_rows_evaluated: stats.head_rows_evaluated,
+        head_rows_reused: stats.head_rows_reused,
         embedding_cache: stats.embedding_cache,
         design_cache: stats.design_cache,
         models: stats.models.clone(),
@@ -1298,6 +1307,8 @@ mod tests {
             errors: 2,
             embeddings_computed: 3,
             coalesced_requests: 4,
+            head_rows_evaluated: 40,
+            head_rows_reused: 24,
             embedding_cache,
             design_cache,
             shard_id: Some(3),
@@ -1308,6 +1319,8 @@ mod tests {
                 errors: 2,
                 embeddings_computed: 3,
                 coalesced_requests: 4,
+                head_rows_evaluated: 40,
+                head_rows_reused: 24,
                 quota: 4,
                 queued: 9,
                 rejected_quota: 1,
@@ -1321,6 +1334,7 @@ mod tests {
         assert_eq!(resp.reactor_threads, 0);
         assert!(resp.reactors.is_empty());
         assert_eq!(resp.embedding_cache.budget, 1_000_000);
+        assert_eq!((resp.head_rows_evaluated, resp.head_rows_reused), (40, 24));
         assert_eq!(resp.models.len(), 1);
         assert_eq!(resp.models[0].model, "alpha");
         assert_eq!(resp.models[0].quota, 4);

@@ -9,15 +9,18 @@
 //!    so it is cached per design (per model, since models may be trained
 //!    at different scales).
 //! 2. **Trace embedding** — simulate the workload and run the encoder
-//!    over every (sub-module, cycle). Deterministic in (design, workload,
-//!    cycles), so the resulting [`TraceEmbeddings`] are cached under that
-//!    key — admitted against a **byte budget** sized from
-//!    [`TraceEmbeddings::approx_bytes`]. This stage dominates cold
-//!    latency; concurrent cold requests for the same key on the same
-//!    model are **single-flighted**: one request computes, the rest block
-//!    on the in-flight result instead of duplicating the work.
-//! 3. **Head evaluation** — GBDT heads + memory model over the cached
-//!    embeddings. Cheap; this is all a fully-warm request pays.
+//!    over every (sub-module, cycle). This stage dominates cold latency.
+//! 3. **Head evaluation** — GBDT heads + memory model over the fresh
+//!    embeddings, once per trace.
+//!
+//! Stages two and three are deterministic in (design, workload, cycles),
+//! so their results are cached together under that key as one
+//! [`CachedTrace`] — the embeddings plus the watts the heads made of
+//! them — admitted against a **byte budget** sized from
+//! [`CachedTrace::weight`]. A fully warm request is a cache lookup plus
+//! rendering; no stage runs. Concurrent cold requests for the same key
+//! on the same model are **single-flighted**: one request computes, the
+//! rest block on the in-flight result instead of duplicating the work.
 //!
 //! # Multi-model routing
 //!
@@ -70,8 +73,9 @@ use atlas_core::features::{build_submodule_data, SubmoduleData};
 use atlas_core::{
     AtlasModel, DeltaStats, ExperimentConfig, Precision, PreparedEncoder, TraceEmbeddings,
 };
-use atlas_liberty::Library;
+use atlas_liberty::{Library, PowerGroup};
 use atlas_netlist::Design;
+use atlas_power::PowerTrace;
 use atlas_sim::{schedule_fingerprint, simulate, PhasedWorkload, WorkloadPhase};
 use serde::{Deserialize, Serialize};
 
@@ -91,9 +95,8 @@ pub struct ServiceConfig {
     /// hosted model).
     pub workers: usize,
     /// Per-model byte budget of the (design, workload, cycles) →
-    /// embeddings cache, accounted with
-    /// [`TraceEmbeddings::approx_bytes`]. An embedding larger than the
-    /// whole budget is served but never cached.
+    /// [`CachedTrace`] cache, accounted with [`CachedTrace::weight`]. An
+    /// entry larger than the whole budget is served but never cached.
     pub embedding_cache_bytes: usize,
     /// Per-model capacity (entries) of the design → netlist + sub-module
     /// data cache.
@@ -132,8 +135,8 @@ pub struct ServiceConfig {
     /// Storage precision of cached embedding rows (applies to every
     /// hosted model). The encoder always computes in f64;
     /// [`Precision::F32`] narrows each row once, halving each cached
-    /// embedding's bytes — doubling what fits `embedding_cache_bytes` —
-    /// at one f32 rounding of accuracy (bounded by
+    /// embedding row's bytes — so more traces fit
+    /// `embedding_cache_bytes` — at one f32 rounding of accuracy (bounded by
     /// [`atlas_core::F32_EMBED_TOLERANCE`]) instead of bit parity with
     /// f64. Warm hits and deltas stay bit-identical to a cold reply at
     /// either precision.
@@ -178,6 +181,33 @@ struct TraceKey {
     workload: String,
     cycles: usize,
     schedule_fp: u64,
+}
+
+/// Bytes of one (sub-module × cycle) row of cached watts: four f64 group
+/// watts.
+const WATT_ROW_BYTES: usize = PowerGroup::ALL.len() * std::mem::size_of::<f64>();
+
+/// Embedding-cache value: one trace's embeddings and the watts this
+/// model's heads predicted from them. Both are pure functions of the
+/// model and the trace, and each model owns its cache, so the watts never
+/// go stale; a hit answers from `watts` and a delta donates from both.
+pub struct CachedTrace {
+    /// Stage-one output: per-(sub-module × cycle) embeddings and side
+    /// features.
+    pub embeddings: TraceEmbeddings,
+    /// Stage-two output over `embeddings`.
+    pub watts: PowerTrace,
+}
+
+impl CachedTrace {
+    /// Cache weight in bytes of the entry `embeddings` makes:
+    /// [`TraceEmbeddings::approx_bytes`] plus 32 bytes of watts per
+    /// (sub-module × cycle) row. Known before the watts are computed, so
+    /// a snapshot restore can budget entries before running their heads.
+    pub fn weight(embeddings: &TraceEmbeddings) -> usize {
+        embeddings.approx_bytes()
+            + embeddings.cycles() * embeddings.submodule_count() * WATT_ROW_BYTES
+    }
 }
 
 /// Stage-one cache value: the materialized design.
@@ -243,6 +273,12 @@ pub struct ModelStats {
     pub embeddings_computed: u64,
     /// Requests that waited on this model's in-flight computations.
     pub coalesced_requests: u64,
+    /// (sub-module × cycle) rows this model ran through its heads while
+    /// answering requests: once per computed trace, never on a hit.
+    pub head_rows_evaluated: u64,
+    /// (sub-module × cycle) rows whose watts a `predict_delta` copied
+    /// from its cached base instead of evaluating.
+    pub head_rows_reused: u64,
     /// Effective cold-compute quota at snapshot time: the explicit
     /// [`ServiceConfig::model_quotas`] entry, else the fair share
     /// `workers / hosted models` (≥ 1).
@@ -274,6 +310,12 @@ pub struct ServiceStats {
     /// Requests that waited on another request's in-flight computation
     /// instead of recomputing it.
     pub coalesced_requests: u64,
+    /// Head rows evaluated, summed over models
+    /// ([`ModelStats::head_rows_evaluated`]).
+    pub head_rows_evaluated: u64,
+    /// Head rows copied from a delta's base, summed over models
+    /// ([`ModelStats::head_rows_reused`]).
+    pub head_rows_reused: u64,
     /// Embedding-cache counters summed over models (`weight`/`budget` in
     /// bytes).
     pub embedding_cache: CacheStats,
@@ -301,7 +343,7 @@ fn add_cache_stats(a: CacheStats, b: CacheStats) -> CacheStats {
 /// The in-flight slot of one cold (design, workload, cycles) computation.
 /// The leader fills `result` and notifies; followers wait on `done`.
 struct Flight {
-    result: Mutex<Option<Result<Arc<TraceEmbeddings>, ServeError>>>,
+    result: Mutex<Option<Result<Arc<CachedTrace>, ServeError>>>,
     done: Condvar,
 }
 
@@ -318,7 +360,7 @@ struct ModelState {
     prepared: PreparedEncoder,
     experiment: ExperimentConfig,
     lib: Library,
-    embeddings: LruCache<TraceKey, TraceEmbeddings>,
+    embeddings: LruCache<TraceKey, CachedTrace>,
     designs: LruCache<String, DesignArtifacts>,
     inflight: Mutex<HashMap<TraceKey, Arc<Flight>>>,
     /// Explicit quota from [`ServiceConfig::model_quotas`]; `None` means
@@ -331,6 +373,8 @@ struct ModelState {
     errors: AtomicU64,
     embeds_computed: AtomicU64,
     coalesced: AtomicU64,
+    head_rows_evaluated: AtomicU64,
+    head_rows_reused: AtomicU64,
 }
 
 impl ModelState {
@@ -355,6 +399,8 @@ impl ModelState {
             errors: AtomicU64::new(0),
             embeds_computed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            head_rows_evaluated: AtomicU64::new(0),
+            head_rows_reused: AtomicU64::new(0),
         }
     }
 
@@ -373,6 +419,8 @@ impl ModelState {
             errors: self.errors.load(Ordering::Relaxed),
             embeddings_computed: self.embeds_computed.load(Ordering::Relaxed),
             coalesced_requests: self.coalesced.load(Ordering::Relaxed),
+            head_rows_evaluated: self.head_rows_evaluated.load(Ordering::Relaxed),
+            head_rows_reused: self.head_rows_reused.load(Ordering::Relaxed),
             quota: effective_quota,
             queued: self.gate.queued_total(),
             rejected_quota: self.gate.rejected_total(),
@@ -845,6 +893,8 @@ impl AtlasService {
         for m in &models {
             stats.embeddings_computed += m.embeddings_computed;
             stats.coalesced_requests += m.coalesced_requests;
+            stats.head_rows_evaluated += m.head_rows_evaluated;
+            stats.head_rows_reused += m.head_rows_reused;
             stats.embedding_cache = add_cache_stats(stats.embedding_cache, m.embedding_cache);
             stats.design_cache = add_cache_stats(stats.design_cache, m.design_cache);
         }
@@ -1186,14 +1236,14 @@ impl AtlasService {
         models.sort_by(|a, b| a.name.cmp(&b.name));
         let mut written = 0usize;
         for state in models {
-            for (key, embeddings, _weight) in state.embeddings.export() {
+            for (key, cached, _weight) in state.embeddings.export() {
                 let entry = SnapshotEntry {
                     fingerprint: 0,
                     record: SnapshotRecord {
                         model: state.name.clone(),
                         config_fingerprint: state.config_fingerprint,
                         key,
-                        embeddings: (*embeddings).clone(),
+                        embeddings: cached.embeddings.clone(),
                     },
                 };
                 let body = serde_json::to_string(&entry.record).map_err(|e| fail("render", &e))?;
@@ -1223,10 +1273,12 @@ impl AtlasService {
     /// unhosted model (or one hosted with a different config
     /// fingerprint), internally inconsistent, or too large for the cache
     /// budget are all *skipped*, degrading to a cold start for exactly
-    /// those keys. Restored entries count as neither computed embeddings
-    /// nor cache traffic: `embeddings_computed` stays untouched, so a
-    /// warm-started shard answering its first request reports
-    /// `embeddings_computed == 0` with a cache hit.
+    /// those keys. Snapshots carry no watts: each admitted entry's watts
+    /// are recomputed by the live heads *before* admission, so a restored
+    /// entry is never stale and its first hit is as fast as any other.
+    /// Restored entries count as neither computed embeddings, evaluated
+    /// head rows, nor cache traffic: a warm-started shard answering its
+    /// first request reports `embeddings_computed == 0` with a cache hit.
     pub fn restore_cache(&self, path: impl AsRef<std::path::Path>) -> SnapshotRestoreReport {
         let mut report = SnapshotRestoreReport::default();
         let Ok(text) = std::fs::read_to_string(path.as_ref()) else {
@@ -1279,8 +1331,8 @@ impl AtlasService {
                 && entry.record.embeddings.precision() == self.shared.cfg.precision
                 && entry.record.embeddings.cycles() == entry.record.key.cycles;
             match (admissible, state) {
-                (true, Some(state)) => {
-                    let weight = entry.record.embeddings.approx_bytes();
+                (true, Some(state)) if state.model.can_predict(&entry.record.embeddings) => {
+                    let weight = CachedTrace::weight(&entry.record.embeddings);
                     candidates.push(Candidate {
                         state,
                         key: entry.record.key,
@@ -1309,10 +1361,16 @@ impl AtlasService {
         // Insert the kept set in file order (oldest-first), reproducing
         // the snapshot's relative recency inside the live cache.
         for (c, keep) in candidates.into_iter().zip(keep) {
-            let restored = keep
-                && c.state
+            let restored = keep && {
+                let watts = c.state.model.predict_from_embeddings(&c.embeddings);
+                let cached = CachedTrace {
+                    embeddings: c.embeddings,
+                    watts,
+                };
+                c.state
                     .embeddings
-                    .insert_weighted(c.key, Arc::new(c.embeddings), c.weight);
+                    .insert_weighted(c.key, Arc::new(cached), c.weight)
+            };
             if restored {
                 report.restored += 1;
             } else {
@@ -1590,24 +1648,11 @@ fn process_job(shared: &Shared, queue: &Queue, job: Job) {
             Err(e) => return finish(shared, Some(&state), job, Err(e)),
         },
     };
-    // The warm path pays only head evaluation and needs no admission.
-    if let Some(embeddings) = state.embeddings.get(&key) {
-        // Fully warm: stage one and two both skipped. Validate the
-        // workload anyway so a cached entry never masks a bad request
-        // (it cannot be cached under an invalid workload, but the
-        // check is cheap and keeps the invariant obvious).
-        let result = build_workload(&state, &spec, source.seed()).map(|_| {
-            Outcome::predict(respond(
-                &job.request,
-                &state,
-                &spec,
-                &embeddings,
-                true,
-                true,
-                started,
-            ))
-        });
-        return finish(shared, Some(&state), job, result);
+    // Fully warm: every stage skipped, no admission. A key is only
+    // cached after its workload built, so a hit needs no re-validation.
+    if let Some(cached) = state.embeddings.get(&key) {
+        let response = respond(&job.request, &state, &spec, &cached, true, true, started);
+        return finish(shared, Some(&state), job, Ok(Outcome::predict(response)));
     }
     // Cold work goes through the model's admission gate, so one model's
     // cold storm can tie up at most its quota's worth of workers.
@@ -1640,24 +1685,23 @@ fn process_job(shared: &Shared, queue: &Queue, job: Job) {
     }
 }
 
-/// Head evaluation over resolved embeddings: the tail every request path
-/// shares.
+/// Summarize a resolved trace's watts into a reply: the tail every
+/// request path shares.
 fn respond(
     request: &PredictRequest,
     state: &ModelState,
     spec: &WorkloadSpec,
-    embeddings: &TraceEmbeddings,
+    cached: &CachedTrace,
     cache_hit: bool,
     design_cache_hit: bool,
     started: Instant,
 ) -> PredictResponse {
-    let trace = state.model.predict_from_embeddings(embeddings);
     let latency_ms = started.elapsed().as_secs_f64() * 1e3;
     summarize(
         request,
         &state.name,
         spec.label(),
-        &trace,
+        &cached.watts,
         cache_hit,
         design_cache_hit,
         latency_ms,
@@ -1825,12 +1869,12 @@ struct FlightGuard<'a> {
 }
 
 impl FlightGuard<'_> {
-    fn resolve(mut self, outcome: Result<Arc<TraceEmbeddings>, ServeError>) {
+    fn resolve(mut self, outcome: Result<Arc<CachedTrace>, ServeError>) {
         self.publish(outcome);
         self.resolved = true;
     }
 
-    fn publish(&self, outcome: Result<Arc<TraceEmbeddings>, ServeError>) {
+    fn publish(&self, outcome: Result<Arc<CachedTrace>, ServeError>) {
         self.state
             .inflight
             .lock()
@@ -1852,12 +1896,12 @@ impl Drop for FlightGuard<'_> {
 }
 
 /// The cold path, run under a granted quota slot: single-flight the
-/// (design, workload, cycles) computation per key, then evaluate the
-/// heads. The first cold request for a key computes; concurrent
-/// duplicates wait on its in-flight slot. NOTE: a follower occupies its
-/// worker thread (and its quota slot) while waiting, but can never
-/// deadlock the pool — a leader only exists once it is already running
-/// on a worker, so it always makes progress.
+/// (design, workload, cycles) computation per key. The first cold
+/// request for a key computes; concurrent duplicates wait on its
+/// in-flight slot. NOTE: a follower occupies its worker thread (and its
+/// quota slot) while waiting, but can never deadlock the pool — a
+/// leader only exists once it is already running on a worker, so it
+/// always makes progress.
 fn cold_predict(
     shared: &Shared,
     state: &ModelState,
@@ -1889,20 +1933,13 @@ fn cold_predict(
             while slot.is_none() {
                 slot = flight.done.wait(slot).expect("flight lock");
             }
-            let embeddings = slot.clone().expect("checked Some")?;
-            // The embedding work was shared, not redone: report it as a
-            // cache hit (the follower paid only head evaluation plus the
-            // wait). A delta follower likewise reused everything through
-            // the flight, so its delta accounting stays zero.
-            Ok(Outcome::predict(respond(
-                request,
-                state,
-                spec,
-                &embeddings,
-                true,
-                true,
-                started,
-            )))
+            let cached = slot.clone().expect("checked Some")?;
+            // The work was shared, not redone: report it as a cache hit
+            // (the follower paid only the wait). A delta follower likewise
+            // reused everything through the flight, so its delta
+            // accounting stays zero.
+            let response = respond(request, state, spec, &cached, true, true, started);
+            Ok(Outcome::predict(response))
         }
         FlightRole::Leader(flight) => {
             let guard = FlightGuard {
@@ -1913,29 +1950,21 @@ fn cold_predict(
             };
             // Re-check the cache: between the miss and leadership
             // another leader may have finished and populated it.
-            if let Some(embeddings) = state.embeddings.get(key) {
-                guard.resolve(Ok(Arc::clone(&embeddings)));
-                build_workload(state, spec, source.seed())?;
-                Ok(Outcome::predict(respond(
-                    request,
-                    state,
-                    spec,
-                    &embeddings,
-                    true,
-                    true,
-                    started,
-                )))
+            if let Some(cached) = state.embeddings.get(key) {
+                guard.resolve(Ok(Arc::clone(&cached)));
+                let response = respond(request, state, spec, &cached, true, true, started);
+                Ok(Outcome::predict(response))
             } else {
                 let outcome = compute_embeddings(shared, state, request, spec, source, key, delta);
                 match outcome {
                     Ok(computed) => {
-                        guard.resolve(Ok(Arc::clone(&computed.embeddings)));
+                        guard.resolve(Ok(Arc::clone(&computed.cached)));
                         Ok(Outcome {
                             response: respond(
                                 request,
                                 state,
                                 spec,
-                                &computed.embeddings,
+                                &computed.cached,
                                 false,
                                 computed.design_cache_hit,
                                 started,
@@ -1954,18 +1983,18 @@ fn cold_predict(
     }
 }
 
-/// What [`compute_embeddings`] produced: the (cached) embeddings plus the
+/// What [`compute_embeddings`] produced: the (cached) trace plus the
 /// cache/delta accounting the reply reports.
 struct Computed {
-    embeddings: Arc<TraceEmbeddings>,
+    cached: Arc<CachedTrace>,
     design_cache_hit: bool,
     base_hit: bool,
     stats: DeltaStats,
 }
 
 /// The cold path: materialize the design (cached), simulate the workload,
-/// run the encoder — reusing base items on the delta path — and admit the
-/// result against the byte budget.
+/// run the encoder and then the heads — reusing base items on the delta
+/// path — and admit the result against the byte budget.
 fn compute_embeddings(
     shared: &Shared,
     state: &ModelState,
@@ -2006,7 +2035,7 @@ fn compute_embeddings(
     let trace = simulate(&artifacts.gate, &mut workload, request.cycles)
         .map_err(|e| ServeError::Simulation(e.to_string()))?;
     let base = delta.and_then(|d| state.embeddings.get(&d.base_key));
-    let (embeddings, base_hit, stats) = match (delta.is_some(), base) {
+    let (embeddings, base_hit, stats) = match (delta.is_some(), &base) {
         (true, Some(base)) => {
             let (embeddings, stats) = state.model.embed_trace_delta_with(
                 &state.prepared,
@@ -2015,22 +2044,22 @@ fn compute_embeddings(
                 &artifacts.data,
                 &trace,
                 shared.cfg.embed_threads,
-                &base,
+                &base.embeddings,
             );
-            (Arc::new(embeddings), true, stats)
+            (embeddings, true, stats)
         }
         (has_delta, _) => {
             // Plain predict, or a delta whose base nobody has cached:
             // full recompute. On the missed-base path every item counts
             // as recomputed; the unique-pattern split is not tracked.
-            let embeddings = Arc::new(state.model.embed_trace_with(
+            let embeddings = state.model.embed_trace_with(
                 &state.prepared,
                 &artifacts.gate,
                 &state.lib,
                 &artifacts.data,
                 &trace,
                 shared.cfg.embed_threads,
-            ));
+            );
             let stats = DeltaStats {
                 recomputed_cycles: if has_delta {
                     artifacts.data.len() * request.cycles
@@ -2043,16 +2072,27 @@ fn compute_embeddings(
         }
     };
     state.embeds_computed.fetch_add(1, Ordering::Relaxed);
-    // An embedding bigger than the whole budget is rejected by the cache
+    // The heads run once per trace, here, over the stored-precision rows;
+    // a delta copies the watts of rows its cached base provably shares.
+    let donor = base.as_deref().map(|b| (&b.embeddings, &b.watts));
+    let (watts, reused) = state.model.predict_reusing(&embeddings, donor);
+    let evaluated = embeddings.rows() - reused;
+    state
+        .head_rows_evaluated
+        .fetch_add(evaluated as u64, Ordering::Relaxed);
+    state
+        .head_rows_reused
+        .fetch_add(reused as u64, Ordering::Relaxed);
+    // An entry bigger than the whole budget is rejected by the cache
     // (served once, never resident); everything else evicts LRU entries
     // until it fits.
-    let _ = state.embeddings.insert_weighted(
-        key.clone(),
-        Arc::clone(&embeddings),
-        embeddings.approx_bytes(),
-    );
+    let weight = CachedTrace::weight(&embeddings);
+    let cached = Arc::new(CachedTrace { embeddings, watts });
+    let _ = state
+        .embeddings
+        .insert_weighted(key.clone(), Arc::clone(&cached), weight);
     Ok(Computed {
-        embeddings,
+        cached,
         design_cache_hit,
         base_hit,
         stats,
@@ -2364,6 +2404,7 @@ mod tests {
         let cfg = micro_config();
         let trained = train_atlas(&cfg);
         let clients = 4;
+        let (trained_model, cfg_copy) = (trained.model.clone(), cfg.clone());
         let service = AtlasService::start_with(
             trained.model,
             cfg,
@@ -2409,6 +2450,161 @@ mod tests {
             stats.coalesced_requests + stats.embedding_cache.hits,
             clients as u64 - 1
         );
+        // Followers and hits answered from the leader's watts: the heads
+        // ran over exactly one trace's rows.
+        let rows = stats.head_rows_evaluated;
+        assert!(
+            rows > 0 && rows.is_multiple_of(8),
+            "{rows} rows for one 8-cycle trace"
+        );
+        assert_eq!(stats.head_rows_reused, 0);
+        let solo = AtlasService::start_with(
+            trained_model,
+            cfg_copy,
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        solo.call(PredictRequest::new("C2", "W1", 8))
+            .expect("solo request");
+        assert_eq!(solo.stats().head_rows_evaluated, rows);
+    }
+
+    #[test]
+    fn heads_run_once_per_trace_and_never_on_a_hit() {
+        let cfg = micro_config();
+        let trained = train_atlas(&cfg);
+        let service = AtlasService::start_with(
+            trained.model.clone(),
+            cfg.clone(),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let counters = || {
+            let s = service.stats();
+            assert_eq!(s.models[0].head_rows_evaluated, s.head_rows_evaluated);
+            assert_eq!(s.models[0].head_rows_reused, s.head_rows_reused);
+            (s.head_rows_evaluated, s.head_rows_reused)
+        };
+        let lib = cfg.library();
+        let dcfg = cfg.try_design("C2").expect("design");
+        let gate = dcfg.generate();
+        let data = build_submodule_data(&gate, &lib);
+        let embed = |cycles| {
+            let mut w = cfg.try_workload("W1", dcfg.seed).expect("workload");
+            let trace = simulate(&gate, &mut w, cycles).expect("simulates");
+            trained.model.embed_trace(&gate, &lib, &data, &trace, 1)
+        };
+        let (base, target) = (embed(8), embed(12));
+
+        // A cold predict evaluates every row of its trace once, and the
+        // entry's weight counts the watts cached beside the embeddings.
+        let cold = service
+            .call(PredictRequest::new("C2", "W1", 8))
+            .expect("cold request");
+        assert_eq!(counters(), (base.rows() as u64, 0));
+        assert_eq!(base.rows(), 8 * base.submodule_count());
+        let weight = service.stats().embedding_cache.weight;
+        assert_eq!(weight, CachedTrace::weight(&base));
+        assert_eq!(weight, base.approx_bytes() + base.rows() * 32);
+
+        // A warm hit moves neither counter.
+        let warm = service
+            .call(PredictRequest::new("C2", "W1", 8))
+            .expect("warm request");
+        assert!(warm.cache_hit);
+        assert_eq!(warm.per_cycle_total_w, cold.per_cycle_total_w);
+        assert_eq!(counters(), (base.rows() as u64, 0));
+
+        // A delta against the cached base copies the watts of the rows
+        // it provably shares and evaluates the rest.
+        let delta_request = PredictDeltaRequest {
+            id: None,
+            model: None,
+            design: "C2".to_owned(),
+            workload: Some("W1".to_owned()),
+            workload_name: None,
+            cycles: 12,
+            phases: None,
+            base: Some(DeltaBase {
+                design: None,
+                workload: None,
+                workload_name: None,
+                cycles: Some(8),
+                phases: None,
+            }),
+            changed_submodules: None,
+        };
+        let delta = service
+            .call_delta(delta_request.clone())
+            .expect("delta request");
+        assert!(delta.base_hit);
+        let (evaluated, reused) = counters();
+        let delta_evaluated = evaluated - base.rows() as u64;
+        assert!(reused > 0, "the shared prefix donates watts");
+        assert!(reused <= delta.reused_cycles as u64);
+        assert_eq!(delta_evaluated + reused, target.rows() as u64);
+        assert_eq!(
+            delta.per_cycle_total_w,
+            trained
+                .model
+                .predict_from_embeddings(&target)
+                .total_series()
+        );
+
+        // Re-issuing the delta is a warm hit on the target: no heads.
+        let again = service.call_delta(delta_request).expect("warm delta");
+        assert!(again.cache_hit);
+        assert_eq!(counters(), (evaluated, reused));
+    }
+
+    #[test]
+    fn warm_cache_keeps_typed_errors_for_bad_workloads() {
+        let cfg = micro_config();
+        let trained = train_atlas(&cfg);
+        let start = || {
+            AtlasService::start_with(
+                trained.model.clone(),
+                cfg.clone(),
+                ServiceConfig {
+                    workers: 1,
+                    ..ServiceConfig::default()
+                },
+            )
+        };
+        let phases = vec![WorkloadPhase {
+            activity: 0.3,
+            min_len: 2,
+            max_len: 5,
+        }];
+        let warm = start();
+        for request in [
+            PredictRequest::new("C2", "W1", 8),
+            PredictRequest::with_phases("C2", "custom", 8, phases.clone()),
+        ] {
+            warm.call(request.clone()).expect("warms");
+            assert!(warm.call(request).expect("hits").cache_hit);
+        }
+        let cold = start();
+        let mut bad_phases = phases;
+        bad_phases[0].activity = 2.0;
+        for request in [
+            PredictRequest::with_phases("C2", "custom", 8, bad_phases),
+            PredictRequest::new("C2", "W9", 8),
+        ] {
+            let want = cold.call(request.clone());
+            assert!(
+                matches!(
+                    want,
+                    Err(ServeError::InvalidRequest(_) | ServeError::UnknownWorkload(_))
+                ),
+                "{want:?}"
+            );
+            assert_eq!(warm.call(request), want);
+        }
     }
 
     #[test]

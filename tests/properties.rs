@@ -348,41 +348,50 @@ fn delta_fixture() -> &'static (
     })
 }
 
+/// Every number of a prediction reply, by bit pattern: the per-cycle
+/// series, the mean and peak totals, and each group's mean and peak.
+/// Unlike `==` on f64, equal bits also rule out a `0.0`/`-0.0` swap.
+fn watt_bits(
+    per_cycle: &[f64],
+    mean: f64,
+    peak: f64,
+    groups: &[atlas_serve::GroupSummary],
+) -> (Vec<u64>, u64, u64, Vec<(String, u64, u64)>) {
+    (
+        per_cycle.iter().map(|w| w.to_bits()).collect(),
+        mean.to_bits(),
+        peak.to_bits(),
+        groups
+            .iter()
+            .map(|g| (g.group.clone(), g.mean_w.to_bits(), g.peak_w.to_bits()))
+            .collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 6, // each case runs a chain of predictions on two services
+        cases: 6, // each case runs a chain of predictions on four services
         .. ProptestConfig::default()
     })]
 
     /// Over any chain of edits — schedule swaps and cycle-count changes
     /// landing on and off the encoder's internal chunk boundaries —
     /// `predict_delta` against the previous step's trace is bit-identical
-    /// to a full recompute of the same target, at every step and at
-    /// either storage precision (both services share it). Reuse is an
+    /// to a full recompute of the same target, at every step and at both
+    /// storage precisions: per-cycle series, totals and group rollups.
+    /// Each target then answers again from the chained service's cache,
+    /// where the watts are the ones the delta stored (copied from its
+    /// base or evaluated), and must still match. Reuse is an
     /// optimization only: it must never be observable in the numbers.
     #[test]
     fn predict_delta_chains_are_bit_identical_to_full_recompute(
         steps in proptest::collection::vec((0u8..3, 1usize..20), 1..5),
-        precision in (0u8..2).prop_map(|b| {
-            if b == 0 { atlas_core::Precision::F64 } else { atlas_core::Precision::F32 }
-        }),
     ) {
         use atlas_serve::{
             AtlasService, DeltaBase, PredictDeltaRequest, PredictRequest, ServiceConfig,
         };
 
         let (model, cfg) = delta_fixture();
-        let start = || {
-            AtlasService::start_with(
-                model.clone(),
-                cfg.clone(),
-                ServiceConfig { workers: 2, precision, ..ServiceConfig::default() },
-            )
-        };
-        // One service answers the chain via deltas; a second recomputes
-        // every target from scratch as the reference.
-        let chained = start();
-        let reference = start();
         let schedule = |tag: u8| match tag {
             0 => (Some("W1".to_owned()), None),
             1 => (Some("W2".to_owned()), None),
@@ -395,11 +404,22 @@ proptest! {
                 }]),
             ),
         };
-        let mut base: Option<DeltaBase> = None;
-        for (tag, cycles) in steps {
-            let (workload, phases) = schedule(tag);
-            let delta = chained
-                .call_delta(PredictDeltaRequest {
+        for precision in [atlas_core::Precision::F64, atlas_core::Precision::F32] {
+            let start = || {
+                AtlasService::start_with(
+                    model.clone(),
+                    cfg.clone(),
+                    ServiceConfig { workers: 2, precision, ..ServiceConfig::default() },
+                )
+            };
+            // One service answers the chain via deltas; a second
+            // recomputes every target from scratch as the reference.
+            let chained = start();
+            let reference = start();
+            let mut base: Option<DeltaBase> = None;
+            for &(tag, cycles) in &steps {
+                let (workload, phases) = schedule(tag);
+                let target = PredictRequest {
                     id: None,
                     model: None,
                     design: "C2".to_owned(),
@@ -407,35 +427,59 @@ proptest! {
                     workload_name: None,
                     cycles,
                     phases: phases.clone(),
-                    base: base.clone(),
-                    changed_submodules: None,
-                })
-                .expect("delta predicts");
-            let full = reference
-                .call(PredictRequest {
-                    id: None,
-                    model: None,
-                    design: "C2".to_owned(),
-                    workload: workload.clone(),
+                };
+                let delta = chained
+                    .call_delta(PredictDeltaRequest {
+                        id: None,
+                        model: None,
+                        design: "C2".to_owned(),
+                        workload: workload.clone(),
+                        workload_name: None,
+                        cycles,
+                        phases: phases.clone(),
+                        base: base.clone(),
+                        changed_submodules: None,
+                    })
+                    .expect("delta predicts");
+                let full = reference.call(target.clone()).expect("full predicts");
+                let want = watt_bits(
+                    &full.per_cycle_total_w,
+                    full.mean_total_w,
+                    full.peak_total_w,
+                    &full.groups,
+                );
+                prop_assert_eq!(
+                    &watt_bits(
+                        &delta.per_cycle_total_w,
+                        delta.mean_total_w,
+                        delta.peak_total_w,
+                        &delta.groups,
+                    ),
+                    &want,
+                    "every step of the {} edit chain must be bit-identical",
+                    precision
+                );
+                let warm = chained.call(target).expect("warm predicts");
+                prop_assert!(warm.cache_hit, "the delta's target is cached");
+                prop_assert_eq!(
+                    &watt_bits(
+                        &warm.per_cycle_total_w,
+                        warm.mean_total_w,
+                        warm.peak_total_w,
+                        &warm.groups,
+                    ),
+                    &want,
+                    "a warm hit on a delta's target must be bit-identical at {}",
+                    precision
+                );
+                base = Some(DeltaBase {
+                    design: None,
+                    workload,
                     workload_name: None,
-                    cycles,
-                    phases: phases.clone(),
-                })
-                .expect("full predicts");
-            prop_assert_eq!(
-                &delta.per_cycle_total_w,
-                &full.per_cycle_total_w,
-                "every step of the edit chain must be bit-identical"
-            );
-            prop_assert_eq!(delta.mean_total_w, full.mean_total_w);
-            prop_assert_eq!(delta.peak_total_w, full.peak_total_w);
-            base = Some(DeltaBase {
-                design: None,
-                workload,
-                workload_name: None,
-                cycles: Some(cycles),
-                phases,
-            });
+                    cycles: Some(cycles),
+                    phases,
+                });
+            }
         }
     }
 }
@@ -577,8 +621,27 @@ fn cache_snapshot_roundtrip_is_bit_identical_and_corruption_is_skipped() {
     assert_eq!(entries, keys.len(), "one snapshot entry per cached key");
     drop(first);
 
+    // The file is the version-2 format: a header, then one fingerprinted
+    // record per entry carrying embeddings only — the watts cached beside
+    // them are recomputed on restore, never serialized.
+    assert_eq!(SNAPSHOT_FORMAT_VERSION, 2);
+    let text = std::fs::read_to_string(&snap).expect("snapshot reads");
+    for line in text.lines().skip(1) {
+        assert!(line.starts_with("{\"fingerprint\":"), "{line:.40}");
+        for field in [
+            "\"record\":{\"model\":",
+            "\"config_fingerprint\":",
+            "\"key\":{",
+            "\"embeddings\":{",
+        ] {
+            assert!(line.contains(field), "entry lacks {field}");
+        }
+        assert!(!line.contains("\"watts\""), "watts are never serialized");
+    }
+
     // A fresh process restores every entry and answers bit-identically
-    // without recomputing anything.
+    // without recomputing anything: no embeddings, and no head rows —
+    // the restore computed each entry's watts before admitting it.
     let second = AtlasService::start(registry.load("snap").expect("loads"), svc_cfg());
     let report = second.restore_cache(&snap);
     assert_eq!(report.restored, keys.len());
@@ -587,15 +650,30 @@ fn cache_snapshot_roundtrip_is_bit_identical_and_corruption_is_skipped() {
         let warm = second.call(PredictRequest::new(d, w, c)).expect("predicts");
         assert!(warm.cache_hit, "restored {d}/{w}/{c} must be a cache hit");
         assert_eq!(
-            warm.per_cycle_total_w, original.per_cycle_total_w,
+            watt_bits(
+                &warm.per_cycle_total_w,
+                warm.mean_total_w,
+                warm.peak_total_w,
+                &warm.groups
+            ),
+            watt_bits(
+                &original.per_cycle_total_w,
+                original.mean_total_w,
+                original.peak_total_w,
+                &original.groups
+            ),
             "restored {d}/{w}/{c} must be bit-identical"
         );
-        assert_eq!(warm.mean_total_w, original.mean_total_w);
     }
+    let stats = second.stats();
     assert_eq!(
-        second.stats().embeddings_computed,
-        0,
+        stats.embeddings_computed, 0,
         "a restored shard must answer its warm keys without recomputing"
+    );
+    assert_eq!(
+        (stats.head_rows_evaluated, stats.head_rows_reused),
+        (0, 0),
+        "a restored entry's first hit runs no heads"
     );
     drop(second);
 
@@ -603,7 +681,6 @@ fn cache_snapshot_roundtrip_is_bit_identical_and_corruption_is_skipped() {
     // file stays ASCII): whether that breaks the JSON or just the
     // fingerprint, the entry must be skipped — never fatal — and every
     // intact entry still restores.
-    let text = std::fs::read_to_string(&snap).expect("snapshot reads");
     let mut lines: Vec<Vec<u8>> = text.lines().map(|l| l.as_bytes().to_vec()).collect();
     assert_eq!(lines.len(), 1 + keys.len(), "header + one line per entry");
     let last = lines.len() - 1;
