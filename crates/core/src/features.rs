@@ -93,8 +93,6 @@ impl SubmoduleData {
     /// Node features for one cycle: the static features with the toggle
     /// channel filled from the trace.
     pub fn features_for_cycle(&self, design: &Design, trace: &ToggleTrace, cycle: usize) -> Matrix {
-        // Clone carries the static features; only the toggles are set on
-        // top (`write_features_into` would redundantly re-copy them).
         let mut f = self.static_feats.clone();
         for (i, &cell) in self.cells.iter().enumerate() {
             if trace.cell_toggled(design, cycle, cell) {
@@ -102,29 +100,6 @@ impl SubmoduleData {
             }
         }
         f
-    }
-
-    /// [`features_for_cycle`](Self::features_for_cycle) without the
-    /// allocation: writes the cycle's `node_count() × FEATURE_DIM`
-    /// row-major feature block into `dst` — the hand-off the encoder's
-    /// batched fill path uses to stack cycles without per-cycle matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not exactly `node_count() * FEATURE_DIM` long.
-    pub fn write_features_into(
-        &self,
-        design: &Design,
-        trace: &ToggleTrace,
-        cycle: usize,
-        dst: &mut [f64],
-    ) {
-        dst.copy_from_slice(self.static_feats.as_slice());
-        for (i, &cell) in self.cells.iter().enumerate() {
-            if trace.cell_toggled(design, cycle, cell) {
-                dst[i * FEATURE_DIM + TOGGLE_CHANNEL] = 1.0;
-            }
-        }
     }
 
     /// The static features with the toggle channel filled from a packed
@@ -611,6 +586,49 @@ mod tests {
         let sc = side_features(sm, &d, &lib, &cold, 10);
         assert!(sh.i_comb >= sc.i_comb);
         assert_eq!(sh.n_comb, sc.n_comb, "counts are activity-independent");
+    }
+
+    /// The per-trace [`SideTable`] the embed core uses is the per-call
+    /// [`side_features`] bit for bit, memory fields included.
+    #[test]
+    fn side_table_matches_free_side_features() {
+        use atlas_layout::LayoutConfig;
+
+        use crate::bundle::DesignBundle;
+
+        let lib = Library::synthetic_40nm();
+        let b = DesignBundle::prepare(
+            &DesignConfig::tiny(),
+            &lib,
+            &LayoutConfig::default(),
+            "W1",
+            10,
+        );
+        let trace = &b.gate_trace;
+        let (reads, writes) = trace
+            .sram_access_counts()
+            .into_iter()
+            .fold((0, 0), |(r, w), (dr, dw)| (r + dr, w + dw));
+        assert!(
+            reads > 0 && writes > 0,
+            "the trace must exercise SRAM ports"
+        );
+        let (mut read_energy, mut write_energy) = (0.0, 0.0);
+        for sm in &b.gate_data {
+            let table = SideTable::new(sm, &b.gate, &lib, trace);
+            for t in 0..trace.cycles() {
+                let got = table.side_features(&b.gate, trace, t);
+                assert_eq!(
+                    got.to_bits(),
+                    side_features(sm, &b.gate, &lib, trace, t).to_bits(),
+                    "sub-module {} cycle {t}",
+                    sm.submodule().index()
+                );
+                read_energy += got.mem_reads;
+                write_energy += got.mem_writes;
+            }
+        }
+        assert!(read_energy > 0.0 && write_energy > 0.0);
     }
 
     #[test]

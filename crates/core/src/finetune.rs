@@ -3,11 +3,11 @@
 
 use atlas_gbdt::{Gbdt, GbdtConfig};
 use atlas_liberty::{Library, PowerGroup};
-use atlas_nn::InferenceEncoder;
 use serde::{Deserialize, Serialize};
 
 use crate::bundle::DesignBundle;
-use crate::features::{side_features, SideFeatures};
+use crate::features::SideFeatures;
+use crate::model::{PreparedEncoder, TraceEmbeddings};
 
 /// Fine-tuning hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -183,33 +183,40 @@ pub struct HeadScratch {
     reg_w: Vec<f64>,
 }
 
-/// One `F_Comb` training row: the embedding, then `n`, `I`, `C` when side
-/// features are on. [`PowerHeads::predict_block`] gathers the same layout.
-fn comb_row(embedding: &[f64], s: &SideFeatures, side: bool) -> Vec<f64> {
-    let mut row = embedding.to_vec();
+/// Append one `F_Comb` or `F_Reg` training row to `x`: the embedding,
+/// then the group's `n`, `I`, `C` when side features are on.
+/// [`PowerHeads::predict_block`] gathers the same layout.
+fn push_row(x: &mut Vec<f64>, embedding: &[f64], nic: [f64; 3], side: bool) {
+    x.extend_from_slice(embedding);
     if side {
-        row.extend([s.n_comb, s.i_comb, s.c_comb]);
+        x.extend(nic);
     }
-    row
 }
 
-/// One `F_Reg` training row, laid out like [`comb_row`].
-fn reg_row(embedding: &[f64], s: &SideFeatures, side: bool) -> Vec<f64> {
-    let mut row = embedding.to_vec();
-    if side {
-        row.extend([s.n_reg, s.i_reg, s.c_reg]);
-    }
-    row
+/// Embed `cycles` of a bundle's gate-level trace through the serving
+/// core: table `k`'s row `i` and `sides[i]` belong to sub-module
+/// `gate_data[k]` in cycle `cycles[i]`.
+fn embed_sampled(
+    encoder: &PreparedEncoder,
+    b: &DesignBundle,
+    lib: &Library,
+    cycles: &[usize],
+) -> TraceEmbeddings {
+    let sampled = b.gate_trace.select_cycles(cycles);
+    encoder
+        .embed(&b.gate, lib, &b.gate_data, &sampled, 0, None)
+        .0
 }
 
 /// Fit the heads on the training bundles, using the frozen encoder for
-/// embeddings.
+/// embeddings. The heads learn from rows at the encoder's storage
+/// precision; training passes an f64 encoder.
 ///
 /// # Panics
 ///
 /// Panics if `bundles` is empty.
 pub fn finetune(
-    encoder: &InferenceEncoder,
+    encoder: &PreparedEncoder,
     bundles: &[DesignBundle],
     lib: &Library,
     cfg: &FinetuneConfig,
@@ -224,21 +231,24 @@ pub fn finetune(
     let mut reg_y = Vec::new();
     let mut mem = MemoryFit::default();
 
+    let mut scratch = Vec::new();
     for b in bundles {
         let cycles = sample_cycles(b.cycles(), cfg.cycles_per_design);
-        for smd in &b.gate_data {
-            for &t in &cycles {
-                let feats = smd.features_for_cycle(&b.gate, &b.gate_trace, t);
-                let emb = encoder.encode_graph(smd.adj(), &feats);
-                let side = side_features(smd, &b.gate, lib, &b.gate_trace, t);
-                let sm = smd.submodule();
-                ct_x.extend(&emb);
+        let embedded = embed_sampled(encoder, b, lib, &cycles);
+        for (smd, table) in b.gate_data.iter().zip(embedded.per_submodule()) {
+            let sm = smd.submodule();
+            for (i, &t) in cycles.iter().enumerate() {
+                let emb = table.embeddings.row_f64(i, &mut scratch);
+                let side = &table.sides[i];
+                ct_x.extend(emb);
                 ct_y.push(b.labels.at(t, sm, PowerGroup::ClockTree));
-                comb_x.extend(comb_row(&emb, &side, cfg.side_features));
+                let comb = [side.n_comb, side.i_comb, side.c_comb];
+                push_row(&mut comb_x, emb, comb, cfg.side_features);
                 comb_y.push(b.labels.at(t, sm, PowerGroup::Combinational));
-                reg_x.extend(reg_row(&emb, &side, cfg.side_features));
+                let reg = [side.n_reg, side.i_reg, side.c_reg];
+                push_row(&mut reg_x, emb, reg, cfg.side_features);
                 reg_y.push(b.labels.at(t, sm, PowerGroup::Register));
-                mem.push(&side, b.labels.at(t, sm, PowerGroup::Memory));
+                mem.push(side, b.labels.at(t, sm, PowerGroup::Memory));
             }
         }
     }
@@ -377,7 +387,57 @@ fn gaussian_solve(a: &mut [f64; 16], b: &mut [f64; 4]) -> [f64; 4] {
 
 #[cfg(test)]
 mod tests {
+    use atlas_designs::DesignConfig;
+    use atlas_layout::LayoutConfig;
+    use atlas_nn::{EncoderConfig, GraphEncoder, InferenceEncoder};
+
     use super::*;
+    use crate::features::{side_features, FEATURE_DIM};
+    use crate::model::Precision;
+
+    /// Fine-tuning reads its training rows from the serving core over a
+    /// sub-trace of the sampled cycles. The per-cycle path
+    /// (`features_for_cycle` + `encode_graph` + `side_features`) is the
+    /// oracle: every sampled (sub-module, cycle) embedding row and side
+    /// row must match it bit for bit.
+    #[test]
+    fn sampled_rows_match_the_per_cycle_oracle() {
+        let lib = Library::synthetic_40nm();
+        let b = DesignBundle::prepare(
+            &DesignConfig::tiny(),
+            &lib,
+            &LayoutConfig::default(),
+            "W1",
+            10,
+        );
+        let state = GraphEncoder::new(EncoderConfig {
+            input_dim: FEATURE_DIM,
+            hidden_dim: 12,
+            layers: 2,
+            alpha: 0.5,
+            seed: 5,
+        })
+        .state();
+        let oracle = InferenceEncoder::from_state(&state);
+        let encoder = PreparedEncoder::new(&state, Precision::F64);
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scratch = Vec::new();
+        // The sampler's own cycles, and an out-of-order pick with a repeat.
+        for cycles in [sample_cycles(b.cycles(), 4), vec![7, 2, 2, 9]] {
+            let embedded = embed_sampled(&encoder, &b, &lib, &cycles);
+            assert_eq!(embedded.per_submodule().len(), b.gate_data.len());
+            for (smd, table) in b.gate_data.iter().zip(embedded.per_submodule()) {
+                for (i, &t) in cycles.iter().enumerate() {
+                    let feats = smd.features_for_cycle(&b.gate, &b.gate_trace, t);
+                    let want = oracle.encode_graph(smd.adj(), &feats);
+                    let got = table.embeddings.row_f64(i, &mut scratch);
+                    assert_eq!(bits(got), bits(&want), "row {i} (cycle {t})");
+                    let side = side_features(smd, &b.gate, &lib, &b.gate_trace, t);
+                    assert_eq!(table.sides[i].to_bits(), side.to_bits(), "cycle {t}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn cycle_sampling() {

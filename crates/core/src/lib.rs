@@ -19,7 +19,8 @@
 //!    ④ gate-level contrastive, ⑤ cross-stage alignment (§IV).
 //! 4. [`finetune`] — XGBoost-style heads `F_CT(E_g)`,
 //!    `F_Comb(E_g, n, I, C)`, `F_Reg(E_g, n, I, C)` (§V) and the simple
-//!    memory-group model (§VI-B).
+//!    memory-group model (§VI-B), fit on rows from the embed core that
+//!    serving uses too ([`PreparedEncoder::embed`]).
 //! 5. [`model`] — the deployable [`AtlasModel`]: gate-level netlist +
 //!    toggle trace → predicted [`atlas_power::PowerTrace`].
 //! 6. [`evaluate`] / [`pipeline`] — MAPE evaluation against golden labels

@@ -75,9 +75,130 @@ pub struct PreparedEncoder {
 }
 
 impl PreparedEncoder {
+    /// Freeze `state` into an f64 inference encoder whose embeddings are
+    /// stored at `precision`.
+    pub fn new(state: &EncoderState, precision: Precision) -> PreparedEncoder {
+        PreparedEncoder {
+            encoder: InferenceEncoder::from_state(state),
+            precision,
+        }
+    }
+
     /// The precision this encoder's embeddings are stored at.
     pub fn precision(&self) -> Precision {
         self.precision
+    }
+
+    /// Embedding width.
+    pub(crate) fn embedding_dim(&self) -> usize {
+        self.encoder.embedding_dim()
+    }
+
+    /// Inference stage one (expensive, cacheable): per-cycle feature
+    /// construction, encoder forwards, and side features for every
+    /// sub-module of the trace, evaluated in f64 and stored at this
+    /// encoder's precision. Serving, deltas and fine-tuning all embed
+    /// through here.
+    ///
+    /// Work runs in two parallel phases over `threads` std threads (`0` =
+    /// auto: available parallelism capped at 8), both packed by estimated
+    /// work (longest-first) so one huge sub-module splits across threads
+    /// instead of straggling the scope:
+    ///
+    /// 1. **Scan** — (sub-module × cycle-range) items pack each cycle's
+    ///    toggles into a bitset and compute its side features. The bitsets
+    ///    are then merged per sub-module into one **whole-trace** unique
+    ///    toggle-pattern set: workloads repeat patterns (idle phases
+    ///    repeat them almost every cycle), and deduplicating across the
+    ///    whole trace — not per item — encodes a pattern shared by two
+    ///    items' ranges once, however finely thread balance split the
+    ///    sub-module.
+    /// 2. **Encode** — (sub-module × unique-pattern-range) items run the
+    ///    encoder's cycle-blocked batched forward (one matmul per layer
+    ///    per chunk) over the unique patterns `base` cannot donate,
+    ///    expanding features from each pattern's bitset straight into the
+    ///    chunk's stacked operand.
+    ///
+    /// A `base` donates a pattern's row when the sub-module's structural
+    /// fingerprint, the storage precision and the pattern digest all
+    /// match; the full scan is what proves it. Appended cycles, edited
+    /// sub-modules, and bases of other lengths, designs or precisions all
+    /// reduce to that rule (64-bit digest collisions treated as
+    /// negligible). The [`DeltaStats`] count what was copied and what
+    /// was encoded; without a base everything is encoded.
+    ///
+    /// Every cycle's embedding is then the copy of its pattern's — exact,
+    /// because the encoder is a pure function of (graph, features). f64
+    /// results are bit-identical to the per-cycle path for every thread
+    /// count, chunking and base; f32 results are exactly those rows
+    /// narrowed, so they are deterministic too and stay within
+    /// [`F32_EMBED_TOLERANCE`] of f64.
+    pub fn embed(
+        &self,
+        gate: &Design,
+        lib: &Library,
+        data: &[SubmoduleData],
+        trace: &ToggleTrace,
+        threads: usize,
+        base: Option<&TraceEmbeddings>,
+    ) -> (TraceEmbeddings, DeltaStats) {
+        let threads = resolve_threads(threads);
+        let scan = scan_trace(gate, lib, data, trace, threads);
+        let donors = base.map(Donors::new);
+
+        let mut stats = DeltaStats::default();
+        let mut scratch = Vec::new();
+        let mut uniq_rows: Vec<Vec<Vec<f64>>> = scan
+            .uniq_bits
+            .iter()
+            .map(|u| vec![Vec::new(); u.len()])
+            .collect();
+        let mut missing_slots: Vec<Vec<usize>> = vec![Vec::new(); data.len()];
+        for (sm, smd) in data.iter().enumerate() {
+            // Within f32 a donated row is widened here and narrowed again
+            // at assembly, which returns the same bits.
+            let donor = donors.as_ref().and_then(|d| {
+                d.table(
+                    smd.submodule().index(),
+                    smd.structural_fingerprint(),
+                    self.precision,
+                )
+            });
+            for (slot, bits) in scan.uniq_bits[sm].iter().enumerate() {
+                let hit = donor.as_ref().and_then(|(b, first)| {
+                    let &t = first.get(&pattern_digest(smd.node_count(), bits))?;
+                    Some((*b, t))
+                });
+                match hit {
+                    Some((b, t)) => {
+                        uniq_rows[sm][slot] = b.embeddings.row_f64(t, &mut scratch).to_vec();
+                        stats.reused_patterns += 1;
+                    }
+                    None => {
+                        missing_slots[sm].push(slot);
+                        stats.recomputed_patterns += 1;
+                    }
+                }
+            }
+        }
+
+        let fresh = encode_unique(self, data, &scan.uniq_bits, &missing_slots, threads);
+        for (sm, rows) in fresh.into_iter().enumerate() {
+            for (i, r) in rows.into_iter().enumerate() {
+                uniq_rows[sm][missing_slots[sm][i]] = r;
+            }
+        }
+        for (slots, missing) in scan.pattern_of.iter().zip(&missing_slots) {
+            // `missing` is ascending: slots were pushed in order.
+            let fresh = slots
+                .iter()
+                .filter(|s| missing.binary_search(s).is_ok())
+                .count();
+            stats.recomputed_cycles += fresh;
+            stats.reused_cycles += slots.len() - fresh;
+        }
+        let out = assemble_embeddings(gate, trace, self.precision, data, scan, &uniq_rows);
+        (out, stats)
     }
 }
 
@@ -224,7 +345,7 @@ impl TraceEmbeddings {
     }
 }
 
-/// What [`AtlasModel::embed_trace_delta_with`] reused versus recomputed —
+/// What [`PreparedEncoder::embed`] reused from its base versus encoded —
 /// the observability half of the delta contract (the correctness half is
 /// bit-identity, which needs no counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -240,7 +361,7 @@ pub struct DeltaStats {
 }
 
 /// A base trace's tables indexed by sub-module: the donor side of both
-/// delta paths ([`AtlasModel::embed_trace_delta_with`] for rows,
+/// delta paths ([`PreparedEncoder::embed`] for rows,
 /// [`AtlasModel::predict_reusing`] for watts), so the two cannot disagree
 /// on which items a base may donate.
 struct Donors<'a>(HashMap<usize, &'a SubmoduleEmbeddings>);
@@ -382,12 +503,12 @@ struct TraceScan {
     uniq_bits: Vec<Vec<Vec<u64>>>,
 }
 
-/// Phase 1 of both embed paths: (sub-module × cycle-range) items pack
-/// each cycle's toggles into a bitset and compute its side features, then
-/// the bitsets merge per sub-module into one whole-trace unique
-/// toggle-pattern set (workloads repeat patterns — idle phases almost
-/// every cycle — and deduplicating across the whole trace keeps the hit
-/// rate independent of how thread balance split the sub-module).
+/// Phase 1 of [`PreparedEncoder::embed`]: (sub-module × cycle-range)
+/// items pack each cycle's toggles into a bitset and compute its side
+/// features, then the bitsets merge per sub-module into one whole-trace
+/// unique toggle-pattern set (workloads repeat patterns — idle phases
+/// almost every cycle — and deduplicating across the whole trace keeps
+/// the hit rate independent of how thread balance split the sub-module).
 fn scan_trace(
     gate: &Design,
     lib: &Library,
@@ -483,11 +604,11 @@ fn scan_trace(
     }
 }
 
-/// Phase 2 of both embed paths: run the encoder's cycle-blocked batched
-/// forward over the selected unique patterns only (`slots[sm]` indexes
-/// `uniq_bits[sm]`; the full path selects everything, the delta path only
-/// the patterns its base could not donate). Returns one row per selected
-/// slot, in `slots` order. Rows are position- and chunking-independent —
+/// Phase 2 of [`PreparedEncoder::embed`]: run the encoder's cycle-blocked
+/// batched forward over the selected unique patterns only (`slots[sm]`
+/// indexes `uniq_bits[sm]`: every pattern the base could not donate, so
+/// all of them without a base). Returns one row per selected slot, in
+/// `slots` order. Rows are position- and chunking-independent —
 /// the encoder is a pure function of (graph, features) — which is exactly
 /// why a subset encode stays bit-identical to the full one.
 fn encode_unique(
@@ -581,10 +702,10 @@ fn store_rows(precision: Precision, uniq: &[Vec<f64>], pattern_of: &[usize]) -> 
     }
 }
 
-/// Final step of both embed paths: every cycle copies its unique
-/// pattern's f64 row — narrowed element by element (`as f32`) when the
-/// storage precision is [`Precision::F32`] — and the item-level reuse
-/// keys (graph fingerprint, per-cycle pattern digests) are stamped
+/// Final step of [`PreparedEncoder::embed`]: every cycle copies its
+/// unique pattern's f64 row — narrowed element by element (`as f32`)
+/// when the storage precision is [`Precision::F32`] — and the item-level
+/// reuse keys (graph fingerprint, per-cycle pattern digests) are stamped
 /// alongside.
 fn assemble_embeddings(
     gate: &Design,
@@ -708,14 +829,11 @@ impl AtlasModel {
     }
 
     /// Build the frozen f64 inference encoder once, tagged with the
-    /// precision its embeddings are stored at. Keep the result and pass it
-    /// to [`embed_trace_with`](Self::embed_trace_with) so repeated traces
-    /// skip re-cloning the weights.
+    /// precision its embeddings are stored at. Keep the result and embed
+    /// through it ([`PreparedEncoder::embed`]) so repeated traces skip
+    /// re-cloning the weights.
     pub fn prepare(&self, precision: Precision) -> PreparedEncoder {
-        PreparedEncoder {
-            encoder: InferenceEncoder::from_state(&self.encoder),
-            precision,
-        }
+        PreparedEncoder::new(&self.encoder, precision)
     }
 
     /// Inference stage one (expensive, cacheable) at full precision —
@@ -739,36 +857,8 @@ impl AtlasModel {
         )
     }
 
-    /// Inference stage one (expensive, cacheable): per-cycle feature
-    /// construction, encoder forwards, and side features for every
-    /// sub-module of the trace, evaluated by a prepared encoder in f64 and
-    /// stored at its precision.
-    ///
-    /// Work runs in two parallel phases over `threads` std threads (`0` =
-    /// auto: available parallelism capped at 8), both packed by estimated
-    /// work (longest-first) so one huge sub-module splits across threads
-    /// instead of straggling the scope:
-    ///
-    /// 1. **Scan** — (sub-module × cycle-range) items pack each cycle's
-    ///    toggles into a bitset and compute its side features. The bitsets
-    ///    are then merged per sub-module into one **whole-trace** unique
-    ///    toggle-pattern set: workloads repeat patterns (idle phases
-    ///    repeat them almost every cycle), and deduplicating across the
-    ///    whole trace — not per item, so a pattern shared by two items'
-    ///    ranges is still encoded once — fixes the old per-item window
-    ///    whose hit rate degraded exactly when thread balance split a
-    ///    sub-module finely.
-    /// 2. **Encode** — (sub-module × unique-pattern-range) items run the
-    ///    encoder's cycle-blocked batched forward (one matmul per layer
-    ///    per chunk) over unique patterns only, expanding features from
-    ///    each pattern's bitset straight into the chunk's stacked operand.
-    ///
-    /// Every cycle's embedding is then the copy of its pattern's — exact,
-    /// because the encoder is a pure function of (graph, features). f64
-    /// results are bit-identical to the per-cycle path for every thread
-    /// count and chunking; f32 results are exactly those rows narrowed,
-    /// so they are deterministic too and stay within
-    /// [`F32_EMBED_TOLERANCE`] of f64.
+    /// Inference stage one by a prepared encoder:
+    /// [`PreparedEncoder::embed`] without a base.
     pub fn embed_trace_with(
         &self,
         encoder: &PreparedEncoder,
@@ -778,33 +868,12 @@ impl AtlasModel {
         trace: &ToggleTrace,
         threads: usize,
     ) -> TraceEmbeddings {
-        let threads = resolve_threads(threads);
-        let scan = scan_trace(gate, lib, data, trace, threads);
-        let all: Vec<Vec<usize>> = scan
-            .uniq_bits
-            .iter()
-            .map(|u| (0..u.len()).collect())
-            .collect();
-        let uniq_rows = encode_unique(encoder, data, &scan.uniq_bits, &all, threads);
-        assemble_embeddings(gate, trace, encoder.precision(), data, scan, &uniq_rows)
+        encoder.embed(gate, lib, data, trace, threads, None).0
     }
 
-    /// Incremental sibling of [`embed_trace_with`](Self::embed_trace_with)
-    /// for interactive what-if loops: re-embed `trace` while reusing every
-    /// (sub-module × cycle) item whose encoder input is provably unchanged
-    /// from `base`.
-    ///
-    /// The scan phase (toggle bitsets + side features) always runs in
-    /// full — it is the cheap, linear part and it is what *proves* which
-    /// items changed: a row is copied from the base only when the
-    /// sub-module's structural fingerprint, the storage precision, and the
-    /// cycle's toggle-pattern digest all match, so the result is
-    /// bit-identical to a full embed no matter how wrong a caller's edit
-    /// description is (the expensive encoder forwards run only for
-    /// patterns the base cannot donate). Appended cycles, edited
-    /// sub-modules, and `base`s of different lengths or designs all reduce
-    /// to the same rule; a base at the wrong precision simply donates
-    /// nothing. 64-bit digest collisions are treated as negligible.
+    /// Incremental inference stage one for interactive what-if loops:
+    /// [`PreparedEncoder::embed`] reusing every (sub-module × cycle) item
+    /// whose encoder input is provably unchanged from `base`.
     pub fn embed_trace_delta_with(
         &self,
         encoder: &PreparedEncoder,
@@ -815,67 +884,7 @@ impl AtlasModel {
         threads: usize,
         base: &TraceEmbeddings,
     ) -> (TraceEmbeddings, DeltaStats) {
-        let threads = resolve_threads(threads);
-        let scan = scan_trace(gate, lib, data, trace, threads);
-        let donors = Donors::new(base);
-
-        let mut stats = DeltaStats::default();
-        let mut scratch = Vec::new();
-        let mut uniq_rows: Vec<Vec<Vec<f64>>> = scan
-            .uniq_bits
-            .iter()
-            .map(|u| vec![Vec::new(); u.len()])
-            .collect();
-        let mut missing_slots: Vec<Vec<usize>> = vec![Vec::new(); data.len()];
-        let mut slot_reused: Vec<Vec<bool>> = scan
-            .uniq_bits
-            .iter()
-            .map(|u| vec![false; u.len()])
-            .collect();
-        for (sm, smd) in data.iter().enumerate() {
-            // Within f32 a donated row is widened here and narrowed again
-            // at assembly, which returns the same bits.
-            let donor = donors.table(
-                smd.submodule().index(),
-                smd.structural_fingerprint(),
-                encoder.precision(),
-            );
-            for (slot, bits) in scan.uniq_bits[sm].iter().enumerate() {
-                let digest = pattern_digest(smd.node_count(), bits);
-                let hit = donor
-                    .as_ref()
-                    .and_then(|(b, first)| first.get(&digest).map(|&t| (*b, t)));
-                match hit {
-                    Some((b, t)) => {
-                        uniq_rows[sm][slot] = b.embeddings.row_f64(t, &mut scratch).to_vec();
-                        slot_reused[sm][slot] = true;
-                        stats.reused_patterns += 1;
-                    }
-                    None => {
-                        missing_slots[sm].push(slot);
-                        stats.recomputed_patterns += 1;
-                    }
-                }
-            }
-        }
-
-        let fresh = encode_unique(encoder, data, &scan.uniq_bits, &missing_slots, threads);
-        for (sm, rows) in fresh.into_iter().enumerate() {
-            for (i, r) in rows.into_iter().enumerate() {
-                uniq_rows[sm][missing_slots[sm][i]] = r;
-            }
-        }
-        for (sm, slots) in scan.pattern_of.iter().enumerate() {
-            for &slot in slots {
-                if slot_reused[sm][slot] {
-                    stats.reused_cycles += 1;
-                } else {
-                    stats.recomputed_cycles += 1;
-                }
-            }
-        }
-        let out = assemble_embeddings(gate, trace, encoder.precision(), data, scan, &uniq_rows);
-        (out, stats)
+        encoder.embed(gate, lib, data, trace, threads, Some(base))
     }
 
     /// Inference stage two: run the fine-tuned heads over precomputed
@@ -893,8 +902,7 @@ impl AtlasModel {
     /// A row copies its donor's four group watts only when the
     /// sub-module's `graph_fp` and storage precision match the base's
     /// table, the cycle's pattern digest occurs in that table (the first
-    /// such base cycle donates, as in
-    /// [`embed_trace_delta_with`](Self::embed_trace_delta_with)), and the
+    /// such base cycle donates, as in [`PreparedEncoder::embed`]), and the
     /// two cycles' [`SideFeatures`] are bit-equal. The heads would then
     /// read bit-identical inputs, so copying returns the bits evaluating
     /// would.
@@ -1016,7 +1024,6 @@ impl AtlasModel {
 mod tests {
     use atlas_designs::DesignConfig;
     use atlas_layout::LayoutConfig;
-    use atlas_nn::InferenceEncoder;
 
     use super::*;
     use crate::bundle::DesignBundle;
@@ -1036,7 +1043,7 @@ mod tests {
         let (encoder, _) = pretrain(&bundles, &PretrainConfig::test_tiny());
         let state = encoder.state();
         let heads = finetune(
-            &InferenceEncoder::from_state(&state),
+            &PreparedEncoder::new(&state, Precision::F64),
             &bundles,
             &lib,
             &FinetuneConfig::test_tiny(),
@@ -1097,6 +1104,39 @@ mod tests {
         assert!(embeddings.approx_bytes() > 0);
         let staged = model.predict_from_embeddings(&embeddings);
         assert_eq!(fused, staged, "stage split must not change predictions");
+    }
+
+    #[test]
+    fn embedding_without_a_base_encodes_every_pattern() {
+        let (model, bundle, lib) = tiny_model();
+        let data = build_submodule_data(&bundle.gate, &lib);
+        let enc = model.prepare(Precision::F64);
+        let trace = &bundle.gate_trace;
+        let (emb, stats) = enc.embed(&bundle.gate, &lib, &data, trace, 2, None);
+        let unique: usize = emb
+            .per_submodule()
+            .iter()
+            .map(|s| {
+                let mut d = s.pattern_digests.clone();
+                d.sort_unstable();
+                d.dedup();
+                d.len()
+            })
+            .sum();
+        assert_eq!(
+            stats,
+            DeltaStats {
+                reused_patterns: 0,
+                recomputed_patterns: unique,
+                reused_cycles: 0,
+                recomputed_cycles: data.len() * trace.cycles(),
+            }
+        );
+        let wrapped = model.embed_trace_with(&enc, &bundle.gate, &lib, &data, trace, 3);
+        for (a, b) in emb.per_submodule().iter().zip(wrapped.per_submodule()) {
+            assert_eq!(a.embeddings, b.embeddings);
+            assert_eq!(a.sides, b.sides);
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::time::Instant;
 use atlas_designs::DesignConfig;
 use atlas_layout::LayoutConfig;
 use atlas_liberty::Library;
-use atlas_nn::InferenceEncoder;
 use atlas_power::{compute_power, PowerTrace};
 use atlas_sim::{simulate, PhasedWorkload};
 use serde::{Deserialize, Serialize};
@@ -15,7 +14,7 @@ use crate::bundle::DesignBundle;
 use crate::evaluate::{evaluate, EvalRow};
 use crate::features::build_submodule_data;
 use crate::finetune::{finetune, FinetuneConfig};
-use crate::model::AtlasModel;
+use crate::model::{AtlasModel, Precision, PreparedEncoder};
 use crate::pretrain::{pretrain, PretrainConfig, PretrainStats};
 
 /// A name lookup against the experiment vocabulary failed.
@@ -205,7 +204,7 @@ pub fn train_atlas(cfg: &ExperimentConfig) -> TrainedAtlas {
     let t2 = Instant::now();
     let state = encoder.state();
     let heads = finetune(
-        &InferenceEncoder::from_state(&state),
+        &PreparedEncoder::new(&state, Precision::F64),
         &bundles,
         &lib,
         &cfg.finetune,

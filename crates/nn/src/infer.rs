@@ -12,7 +12,7 @@
 //! At serving time the same sub-module graph is encoded once per trace
 //! cycle, under feature matrices that differ only in the toggle channel.
 //! Instead of running `cycles` separate small forwards, the batch path
-//! ([`encode_graph_batch_with`](InferenceEncoder::encode_graph_batch_with))
+//! ([`encode_graph_batch_fill`](InferenceEncoder::encode_graph_batch_fill))
 //! stacks a chunk of `B` per-cycle feature matrices into one `(B·n) ×
 //! input_dim` operand and runs the embed layer and every layer's q/k/v/gcn
 //! linears as **one matmul per layer per chunk**. The cycle structure
@@ -317,87 +317,21 @@ impl InferenceEncoder {
     }
 
     /// Batched [`encode_graph`](Self::encode_graph): embed the same graph
-    /// under many feature matrices (one per cycle) in one call.
+    /// under `count` feature matrices (one per cycle) in one call.
+    /// `fill_features(i, dst)` writes entry `i`'s `n × input_dim` feature
+    /// block straight into the row-major `dst` slice of the current
+    /// chunk's stacked operand, so callers that synthesize features
+    /// (static features + a toggle bit) never build a per-cycle
+    /// [`Matrix`], and at most one chunk of features is live at a time.
     ///
-    /// Cycles are processed in memory-capped chunks through the
-    /// cycle-blocked forward: one matmul
-    /// per layer per chunk instead of per cycle, segmented attention and
-    /// propagation per cycle block, and one output projection for the
-    /// whole batch. Results are bit-identical to calling
-    /// [`encode_graph`](Self::encode_graph) per feature matrix, because
-    /// every output element is the same dot-product sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-shape mismatch in any batch entry.
-    pub fn encode_graph_batch(&self, adj: &SparseAdj, features: &[Matrix]) -> Vec<Vec<f64>> {
-        self.encode_graph_batch_with(adj, features.len(), |i| features[i].clone())
-    }
-
-    /// [`encode_graph_batch`](Self::encode_graph_batch) with streamed
-    /// feature construction: `make_features(i)` is called once per batch
-    /// entry and the matrix is dropped as soon as it is copied into the
-    /// current cycle chunk, so at most one chunk of features (bounded by
-    /// [`cycle_chunk`](Self::cycle_chunk), never a whole trace on a large
-    /// sub-module) is live at a time regardless of batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-shape mismatch in any batch entry.
-    pub fn encode_graph_batch_with<F>(
-        &self,
-        adj: &SparseAdj,
-        count: usize,
-        make_features: F,
-    ) -> Vec<Vec<f64>>
-    where
-        F: FnMut(usize) -> Matrix,
-    {
-        let chunk = self.cycle_chunk(adj.node_count());
-        self.encode_graph_batch_chunked(adj, count, chunk, make_features)
-    }
-
-    /// [`encode_graph_batch_with`](Self::encode_graph_batch_with) with an
-    /// explicit cycle-chunk size (clamped to `1..=count`). Exposed so
-    /// callers scheduling their own chunks (and the chunk-boundary parity
-    /// tests) can pick `chunk`; results are bit-identical for every
-    /// choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-shape mismatch in any batch entry.
-    pub fn encode_graph_batch_chunked<F>(
-        &self,
-        adj: &SparseAdj,
-        count: usize,
-        chunk: usize,
-        mut make_features: F,
-    ) -> Vec<Vec<f64>>
-    where
-        F: FnMut(usize) -> Matrix,
-    {
-        let n = adj.node_count();
-        let shape = (n, self.input_dim);
-        self.encode_graph_batch_fill(adj, count, chunk, |i, dst| {
-            let feats = make_features(i);
-            assert_eq!(
-                feats.shape(),
-                shape,
-                "feature shape mismatch in batch entry {i}"
-            );
-            dst.copy_from_slice(feats.as_slice());
-        })
-    }
-
-    /// The zero-copy core of the batched encode: `fill_features(i, dst)`
-    /// writes cycle `i`'s `n × input_dim` feature block directly into the
-    /// row-major `dst` slice of the current chunk's stacked operand, so
-    /// callers that synthesize features (static features + a toggle bit)
-    /// can skip building a per-cycle [`Matrix`] entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-shape mismatch in any batch entry.
+    /// Entries are processed `chunk` at a time (clamped to `1..=count`;
+    /// [`cycle_chunk`](Self::cycle_chunk) is the memory-capped choice)
+    /// through the cycle-blocked forward: one matmul per layer per chunk
+    /// instead of per cycle, segmented attention and propagation per cycle
+    /// block, and one output projection for the whole batch. Results are
+    /// bit-identical to calling [`encode_graph`](Self::encode_graph) per
+    /// feature matrix, for every chunk size, because every output element
+    /// is the same dot-product sequence.
     pub fn encode_graph_batch_fill<F>(
         &self,
         adj: &SparseAdj,
@@ -502,10 +436,24 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<InferenceEncoder>();
     }
+
+    /// [`InferenceEncoder::encode_graph_batch_fill`] over prebuilt
+    /// per-cycle feature matrices.
+    pub(super) fn fill_batch(
+        frozen: &InferenceEncoder,
+        adj: &SparseAdj,
+        feats: &[Matrix],
+        chunk: usize,
+    ) -> Vec<Vec<f64>> {
+        frozen.encode_graph_batch_fill(adj, feats.len(), chunk, |i, dst| {
+            dst.copy_from_slice(feats[i].as_slice());
+        })
+    }
 }
 
 #[cfg(test)]
 mod graph_fast_path_tests {
+    use super::tests::fill_batch;
     use super::*;
     use crate::encoder::{EncoderConfig, GraphEncoder};
 
@@ -523,13 +471,14 @@ mod graph_fast_path_tests {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         let adj = SparseAdj::normalized_from_edges(n, &edges);
         let batch: Vec<Matrix> = (0..5).map(|i| Matrix::xavier(n, 7, 100 + i)).collect();
-        let batched = frozen.encode_graph_batch(&adj, &batch);
+        let chunk = frozen.cycle_chunk(n);
+        let batched = fill_batch(&frozen, &adj, &batch, chunk);
         assert_eq!(batched.len(), batch.len());
         for (feats, got) in batch.iter().zip(&batched) {
             let single = frozen.encode_graph(&adj, feats);
             assert_eq!(&single, got, "batched embedding diverged");
         }
-        assert!(frozen.encode_graph_batch(&adj, &[]).is_empty());
+        assert!(fill_batch(&frozen, &adj, &[], chunk).is_empty());
     }
 
     #[test]
@@ -575,7 +524,7 @@ mod graph_fast_path_tests {
         let adj = SparseAdj::normalized_from_edges(n, &edges);
         let feats: Vec<Matrix> = (0..9).map(|i| Matrix::xavier(n, 24, 900 + i)).collect();
         for chunk in [1usize, 4, 16] {
-            let batched = frozen.encode_graph_batch_chunked(&adj, 9, chunk, |i| feats[i].clone());
+            let batched = fill_batch(&frozen, &adj, &feats, chunk);
             for (t, f) in feats.iter().enumerate() {
                 assert_eq!(
                     batched[t],
@@ -609,6 +558,7 @@ mod graph_fast_path_tests {
 mod batched_parity_proptests {
     use proptest::prelude::*;
 
+    use super::tests::fill_batch;
     use super::*;
     use crate::encoder::{EncoderConfig, GraphEncoder};
 
@@ -655,9 +605,7 @@ mod batched_parity_proptests {
             let feats: Vec<Matrix> =
                 (0..cycles).map(|i| Matrix::xavier(n, 5, seed * 131 + i as u64)).collect();
 
-            let batched = frozen.encode_graph_batch_chunked(
-                &adj, cycles, chunk, |i| feats[i].clone(),
-            );
+            let batched = fill_batch(&frozen, &adj, &feats, chunk);
             prop_assert_eq!(batched.len(), cycles);
             for (t, f) in feats.iter().enumerate() {
                 let per_cycle = frozen.encode_graph(&adj, f);
@@ -688,8 +636,8 @@ mod batched_parity_proptests {
             let adj = test_adj(n, seed);
             let feats: Vec<Matrix> =
                 (0..cycles).map(|i| Matrix::xavier(n, 4, seed * 977 + i as u64)).collect();
-            let a = frozen.encode_graph_batch_chunked(&adj, cycles, chunk_a, |i| feats[i].clone());
-            let b = frozen.encode_graph_batch_chunked(&adj, cycles, chunk_b, |i| feats[i].clone());
+            let a = fill_batch(&frozen, &adj, &feats, chunk_a);
+            let b = fill_batch(&frozen, &adj, &feats, chunk_b);
             prop_assert_eq!(a, b);
         }
     }

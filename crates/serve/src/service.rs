@@ -2034,43 +2034,17 @@ fn compute_embeddings(
     }
     let trace = simulate(&artifacts.gate, &mut workload, request.cycles)
         .map_err(|e| ServeError::Simulation(e.to_string()))?;
+    // A delta whose base nobody has cached embeds in full, like a plain
+    // predict: the core then counts every item as recomputed.
     let base = delta.and_then(|d| state.embeddings.get(&d.base_key));
-    let (embeddings, base_hit, stats) = match (delta.is_some(), &base) {
-        (true, Some(base)) => {
-            let (embeddings, stats) = state.model.embed_trace_delta_with(
-                &state.prepared,
-                &artifacts.gate,
-                &state.lib,
-                &artifacts.data,
-                &trace,
-                shared.cfg.embed_threads,
-                &base.embeddings,
-            );
-            (embeddings, true, stats)
-        }
-        (has_delta, _) => {
-            // Plain predict, or a delta whose base nobody has cached:
-            // full recompute. On the missed-base path every item counts
-            // as recomputed; the unique-pattern split is not tracked.
-            let embeddings = state.model.embed_trace_with(
-                &state.prepared,
-                &artifacts.gate,
-                &state.lib,
-                &artifacts.data,
-                &trace,
-                shared.cfg.embed_threads,
-            );
-            let stats = DeltaStats {
-                recomputed_cycles: if has_delta {
-                    artifacts.data.len() * request.cycles
-                } else {
-                    0
-                },
-                ..DeltaStats::default()
-            };
-            (embeddings, false, stats)
-        }
-    };
+    let (embeddings, stats) = state.prepared.embed(
+        &artifacts.gate,
+        &state.lib,
+        &artifacts.data,
+        &trace,
+        shared.cfg.embed_threads,
+        base.as_deref().map(|b| &b.embeddings),
+    );
     state.embeds_computed.fetch_add(1, Ordering::Relaxed);
     // The heads run once per trace, here, over the stored-precision rows;
     // a delta copies the watts of rows its cached base provably shares.
@@ -2094,7 +2068,7 @@ fn compute_embeddings(
     Ok(Computed {
         cached,
         design_cache_hit,
-        base_hit,
+        base_hit: base.is_some(),
         stats,
     })
 }
@@ -2294,8 +2268,13 @@ mod tests {
             .expect("cold-base delta");
         assert!(!cold.base_hit);
         assert!(!cold.cache_hit);
+        // Every unique pattern ran the encoder, and every (sub-module ×
+        // cycle) item was answered from a fresh row.
+        let submodules = build_submodule_data(&cfg.design("C2").generate(), &cfg.library()).len();
+        assert_eq!(cold.reused_patterns, 0);
+        assert!(cold.recomputed_patterns > 0);
         assert_eq!(cold.reused_cycles, 0);
-        assert!(cold.recomputed_cycles > 0);
+        assert_eq!(cold.recomputed_cycles, submodules * 8);
         let reference = AtlasService::start_with(
             trained.model.clone(),
             cfg.clone(),

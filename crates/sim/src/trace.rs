@@ -108,4 +108,83 @@ impl ToggleTrace {
             .map(|t| (self.sram_reads.count_row(t), self.sram_writes.count_row(t)))
             .collect()
     }
+
+    /// The sub-trace of the given cycles, in the given order: its cycle
+    /// `i` is this trace's cycle `cycles[i]` (repeats allowed), over the
+    /// same nets and SRAMs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any selected cycle is out of range.
+    pub fn select_cycles(&self, cycles: &[usize]) -> ToggleTrace {
+        let pick = |grid: &BitGrid| {
+            let mut out = BitGrid::new(cycles.len(), grid.cols());
+            for (i, &t) in cycles.iter().enumerate() {
+                assert!(t < self.cycles, "cycle {t} out of range");
+                for col in grid.row_ones(t) {
+                    out.set(i, col, true);
+                }
+            }
+            out
+        };
+        ToggleTrace {
+            workload: self.workload.clone(),
+            cycles: cycles.len(),
+            net_toggles: pick(&self.net_toggles),
+            sram_cells: self.sram_cells.clone(),
+            sram_reads: pick(&self.sram_reads),
+            sram_writes: pick(&self.sram_writes),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 9-cycle trace over 70 nets (two bit-grid words) and 3 SRAMs,
+    /// every cycle's rows distinct.
+    fn sample() -> ToggleTrace {
+        let (cycles, nets, srams) = (9, 70, 3);
+        let mut toggles = BitGrid::new(cycles, nets);
+        let mut reads = BitGrid::new(cycles, srams);
+        let mut writes = BitGrid::new(cycles, srams);
+        for t in 0..cycles {
+            for n in (t..nets).step_by(t + 2) {
+                toggles.set(t, n, true);
+            }
+            reads.set(t, t % srams, true);
+            writes.set(t, (t / srams) % srams, t % 2 == 0);
+        }
+        let cells = (0..srams).map(|i| CellId::from_index(100 + i)).collect();
+        ToggleTrace::new("W".to_owned(), cycles, toggles, cells, reads, writes)
+    }
+
+    #[test]
+    fn select_cycles_copies_each_selected_row() {
+        let trace = sample();
+        // Repeated, out-of-order, and empty selections.
+        for cycles in [vec![3, 3, 0, 8, 7, 3], vec![6, 1, 5], vec![]] {
+            let sub = trace.select_cycles(&cycles);
+            assert_eq!(sub.cycles(), cycles.len());
+            assert_eq!(sub.workload(), trace.workload());
+            assert_eq!(sub.sram_cells(), trace.sram_cells());
+            for (i, &t) in cycles.iter().enumerate() {
+                for n in 0..70 {
+                    let net = NetId::from_index(n);
+                    assert_eq!(sub.net_toggled(i, net), trace.net_toggled(t, net));
+                }
+                for s in 0..3 {
+                    assert_eq!(sub.sram_read(i, s), trace.sram_read(t, s));
+                    assert_eq!(sub.sram_write(i, s), trace.sram_write(t, s));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn select_cycles_rejects_out_of_range() {
+        let _ = sample().select_cycles(&[9]);
+    }
 }
