@@ -290,11 +290,6 @@ impl Gbdt {
         acc
     }
 
-    /// Number of boosted trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Feature width the model expects.
     pub fn n_features(&self) -> usize {
         self.n_features

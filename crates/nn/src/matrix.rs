@@ -190,11 +190,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// One row as a mutable slice.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Matrix product `self × other`.
     ///
     /// Runs the blocked dense kernel

@@ -93,11 +93,6 @@ impl SparseAdj {
         self.n
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
     /// CSR row offsets (`node_count() + 1` entries). Together with
     /// [`col_indices`](Self::col_indices) this is the complete graph
     /// structure — the normalized values are a pure function of it — so

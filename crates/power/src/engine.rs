@@ -209,11 +209,6 @@ impl<'a> PowerModel<'a> {
         self.net_cap[net.index()]
     }
 
-    /// Internal energy (pJ) charged per output toggle of one cell.
-    pub fn cell_internal_energy(&self, cell: CellId) -> f64 {
-        self.cell_internal[cell.index()]
-    }
-
     /// Evaluate a toggle trace into a per-cycle power trace.
     ///
     /// # Panics

@@ -121,11 +121,6 @@ impl PowerTrace {
             .collect()
     }
 
-    /// Per-cycle series of one sub-module's group.
-    pub fn submodule_series(&self, sm: SubmoduleId, group: PowerGroup) -> Vec<f64> {
-        (0..self.cycles).map(|t| self.at(t, sm, group)).collect()
-    }
-
     /// One sub-module's total (all groups) in one cycle.
     pub fn submodule_total(&self, cycle: usize, sm: SubmoduleId) -> f64 {
         PowerGroup::ALL.iter().map(|&g| self.at(cycle, sm, g)).sum()

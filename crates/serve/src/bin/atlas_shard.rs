@@ -130,7 +130,7 @@ fn main() -> ExitCode {
             shard.id, shard.addr, shard.vnodes
         );
     }
-    let pool = match ReactorPool::bind(
+    let pool = match ReactorPool::spawn(
         proxy,
         args.tcp.as_str(),
         ReactorConfig {
@@ -147,7 +147,7 @@ fn main() -> ExitCode {
     };
     eprintln!(
         "shard proxy listening on {} ({} reactor(s), {})",
-        pool.local_addr(),
+        pool.addr(),
         args.reactor_threads,
         if pool.reuseport() {
             "SO_REUSEPORT"
@@ -155,14 +155,7 @@ fn main() -> ExitCode {
             "shared accept queue"
         },
     );
-    let handle = match pool.spawn() {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: spawn reactors: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match handle.join() {
+    match pool.join() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: reactor: {e}");

@@ -329,7 +329,7 @@ fn serve_stdio(service: &AtlasService) -> ExitCode {
 }
 
 fn serve_tcp(service: Arc<AtlasService>, addr: &str, max_conns: usize, threads: usize) -> ExitCode {
-    let pool = match ReactorPool::bind(
+    let pool = match ReactorPool::spawn(
         service,
         addr,
         ReactorConfig {
@@ -346,7 +346,7 @@ fn serve_tcp(service: Arc<AtlasService>, addr: &str, max_conns: usize, threads: 
     };
     eprintln!(
         "listening on {} ({} epoll reactor(s), {}, max {max_conns} connections each)",
-        pool.local_addr(),
+        pool.addr(),
         threads,
         if pool.reuseport() {
             "SO_REUSEPORT"
@@ -354,16 +354,9 @@ fn serve_tcp(service: Arc<AtlasService>, addr: &str, max_conns: usize, threads: 
             "shared accept queue"
         },
     );
-    let handle = match pool.spawn() {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: spawn reactors: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     // Main parks here; the process runs at workers + reactors + 1 OS
     // threads regardless of connection count.
-    match handle.join() {
+    match pool.join() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: reactor: {e}");

@@ -65,7 +65,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use atlas_core::pipeline::{train_atlas, ExperimentConfig};
-use atlas_serve::reactor::{PoolHandle, Reactor, ReactorConfig, ReactorPool};
+use atlas_serve::reactor::{ReactorConfig, ReactorPool};
 use atlas_serve::shard::{trace_route_key, ShardProxy, ShardRing};
 use atlas_serve::{
     AtlasService, DeltaBase, ModelCatalog, ModelRegistry, PredictDeltaRequest, PredictRequest,
@@ -393,16 +393,15 @@ fn run_idle_scenario(
     repeat: usize,
 ) -> Result<IdleScenario, String> {
     let frontend: Arc<AtlasService> = Arc::clone(service);
-    let reactor = Reactor::bind(
+    let reactor = ReactorPool::spawn(
         frontend,
         "127.0.0.1:0",
         ReactorConfig {
             max_connections: idle_conns + 16,
             ..ReactorConfig::default()
         },
+        1,
     )
-    .map_err(|e| format!("bind reactor: {e}"))?
-    .spawn()
     .map_err(|e| format!("spawn reactor: {e}"))?;
     let addr = reactor.addr();
 
@@ -1109,24 +1108,17 @@ fn run_shard_server() -> ExitCode {
         );
     }
     let frontend: Arc<AtlasService> = Arc::clone(&service);
-    let pool = match ReactorPool::bind(frontend, "127.0.0.1:0", ReactorConfig::default(), 2) {
+    let pool = match ReactorPool::spawn(frontend, "127.0.0.1:0", ReactorConfig::default(), 2) {
         Ok(pool) => pool,
         Err(e) => {
-            eprintln!("error: bind shard listener: {e}");
+            eprintln!("error: start shard listener: {e}");
             return ExitCode::FAILURE;
         }
     };
-    println!("ADDR {}", pool.local_addr());
+    println!("ADDR {}", pool.addr());
     if std::io::stdout().flush().is_err() {
         return ExitCode::FAILURE;
     }
-    let handle = match pool.spawn() {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: spawn shard reactors: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     // Park until the parent closes our stdin, then drain and snapshot.
     let mut line = String::new();
     loop {
@@ -1136,7 +1128,7 @@ fn run_shard_server() -> ExitCode {
             Ok(_) => {}
         }
     }
-    if let Err(e) = handle.shutdown() {
+    if let Err(e) = pool.shutdown() {
         eprintln!("error: shard shutdown: {e}");
         return ExitCode::FAILURE;
     }
@@ -1232,11 +1224,10 @@ fn spawn_shard(
 
 /// Serve a [`ShardProxy`] over the fleet on an ephemeral port, behind a
 /// two-thread reactor pool (the same front door `atlas-shard` runs).
-fn spawn_proxy(shards: Vec<ShardInfo>) -> Result<PoolHandle, String> {
+fn spawn_proxy(shards: Vec<ShardInfo>) -> Result<ReactorPool, String> {
     let proxy = Arc::new(ShardProxy::new(shards).map_err(|e| format!("proxy: {e}"))?);
-    let pool = ReactorPool::bind(proxy, "127.0.0.1:0", ReactorConfig::default(), 2)
-        .map_err(|e| format!("bind proxy: {e}"))?;
-    pool.spawn().map_err(|e| format!("spawn proxy: {e}"))
+    ReactorPool::spawn(proxy, "127.0.0.1:0", ReactorConfig::default(), 2)
+        .map_err(|e| format!("spawn proxy: {e}"))
 }
 
 /// One `stats` round trip against a serve process's own port.

@@ -106,13 +106,11 @@ pub use protocol::{
     UnloadModelRequest, UnloadModelResponse, WorkloadsResponse,
 };
 pub use quota::{Admission, QuotaGate};
-pub use reactor::{
-    Frontend, PoolHandle, Reactor, ReactorConfig, ReactorHandle, ReactorPool, ReactorStats,
-};
+pub use reactor::{Frontend, ReactorConfig, ReactorPool, ReactorStats};
 pub use registry::{ModelCatalog, ModelRegistry, RegistryError, SavedModel, FORMAT_VERSION};
 pub use service::{
     parse_workload_journal, render_journal_entry, AtlasService, DeltaReply, DesignInfo, ModelInfo,
-    ModelStats, RegisteredWorkload, Reply, ServiceConfig, ServiceStats, SnapshotRestoreReport,
+    ModelStats, RegisteredWorkload, Reply, ServiceConfig, SnapshotRestoreReport,
     WorkloadJournalEntry, SNAPSHOT_FORMAT_VERSION,
 };
 pub use shard::{trace_route_key, ShardProxy, ShardRing};

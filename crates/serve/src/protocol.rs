@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::CacheStats;
 use crate::error::ServeError;
 use crate::reactor::ReactorStats;
-use crate::service::{DesignInfo, ModelInfo, ModelStats, RegisteredWorkload, ServiceStats};
+use crate::service::{DesignInfo, ModelInfo, ModelStats, RegisteredWorkload};
 
 /// One prediction request: which design, under which workload, for how
 /// many cycles — and optionally on which hosted model.
@@ -367,7 +367,12 @@ pub enum RequestLine {
 /// each cache's occupancy and admission budget (bytes for the embedding
 /// cache, entries for the design cache), plus the same breakdown for
 /// every hosted model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// [`AtlasService::stats`](crate::service::AtlasService::stats) builds it
+/// with the reactor fields empty — the service knows nothing about the
+/// I/O plane; each [`Frontend`](crate::reactor::Frontend) sets `id` and
+/// the reactor fields before rendering.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StatsResponse {
     /// Echo of the request id.
     pub id: Option<u64>,
@@ -410,29 +415,6 @@ pub struct StatsResponse {
     /// order — accept-skew across reactors at a glance. Empty over
     /// stdio.
     pub reactors: Vec<ReactorStats>,
-}
-
-/// Build the `stats` verb reply from a service counter snapshot. The
-/// reactor fields (`reactor_threads`, `reactors`) start empty — the
-/// service knows nothing about the I/O plane; the reactor frontend
-/// fills them in before rendering.
-pub fn stats_response(id: Option<u64>, stats: &ServiceStats) -> StatsResponse {
-    StatsResponse {
-        id,
-        verb: "stats".to_owned(),
-        requests: stats.requests,
-        errors: stats.errors,
-        embeddings_computed: stats.embeddings_computed,
-        coalesced_requests: stats.coalesced_requests,
-        head_rows_evaluated: stats.head_rows_evaluated,
-        head_rows_reused: stats.head_rows_reused,
-        embedding_cache: stats.embedding_cache,
-        design_cache: stats.design_cache,
-        models: stats.models.clone(),
-        shard_id: stats.shard_id,
-        reactor_threads: 0,
-        reactors: Vec::new(),
-    }
 }
 
 /// One shard of a scale-out deployment, as reported by `shard_map`.
@@ -1302,7 +1284,9 @@ mod tests {
             weight: 1,
             budget: 16,
         };
-        let stats = ServiceStats {
+        let resp = StatsResponse {
+            id: Some(9),
+            verb: "stats".into(),
             requests: 11,
             errors: 2,
             embeddings_computed: 3,
@@ -1327,8 +1311,9 @@ mod tests {
                 embedding_cache,
                 design_cache,
             }],
+            reactor_threads: 0,
+            reactors: Vec::new(),
         };
-        let resp = stats_response(Some(9), &stats);
         assert_eq!(resp.verb, "stats");
         assert_eq!(resp.shard_id, Some(3));
         assert_eq!(resp.reactor_threads, 0);

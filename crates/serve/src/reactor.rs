@@ -1,10 +1,8 @@
 //! Non-blocking TCP front door: `epoll` reactor threads multiplexing
 //! every connection, with the worker pool doing the actual prediction.
 //!
-//! The thread-per-connection front door of PR 1 pinned an OS thread per
-//! client for its whole lifetime — thousands of mostly-idle monitoring
-//! connections meant thousands of stacks. This module replaces it with a
-//! classic event loop:
+//! An OS thread per client would pin a stack for every mostly-idle
+//! monitoring connection. This module runs a classic event loop instead:
 //!
 //! * every connection is **non-blocking** and registered with one epoll
 //!   instance; idle connections cost a file descriptor and a small buffer
@@ -23,18 +21,19 @@
 //!   it, new connections get a one-line `overloaded` error and are
 //!   closed.
 //!
-//! # Scaling out: [`ReactorPool`]
+//! # Scaling out: [`ReactorPool::spawn`]
 //!
 //! One reactor thread is plenty for a handful of clients, but accept,
 //! read, parse, and write for *every* connection then share one core.
-//! [`ReactorPool::bind`] starts N reactors, each with its **own** epoll
-//! instance, listener, connection table, eventfd, and counters. The
-//! listeners all bind the same address with `SO_REUSEPORT`, so the
-//! kernel spreads incoming connections across them with no shared
-//! accept lock; when the platform refuses the option the pool falls
-//! back to N dup'd handles of one listener (a shared kernel accept
-//! queue — level-triggered epoll means losers of an accept race simply
-//! see `WouldBlock`). Worker completions always route back to the
+//! [`ReactorPool::spawn`] — the only way to start the front door —
+//! starts N reactors (`--reactor-threads`, one by default), each with
+//! its **own** epoll instance, listener, connection table, eventfd, and
+//! counters. The listeners all bind the same address with
+//! `SO_REUSEPORT`, so the kernel spreads incoming connections across
+//! them with no shared accept lock; when the platform refuses the
+//! option the pool falls back to N dup'd handles of one listener (a
+//! shared kernel accept queue — level-triggered epoll means losers of
+//! an accept race simply see `WouldBlock`). Worker completions always route back to the
 //! reactor that owns the connection, because the [`Completer`] captured
 //! at submit time holds that reactor's queue.
 //!
@@ -570,218 +569,78 @@ impl Conn {
     }
 }
 
-/// An event-driven TCP server over one [`Frontend`] (typically an
-/// [`AtlasService`]; the shard proxy is the other implementation).
-pub struct Reactor {
-    frontend: Arc<dyn Frontend>,
-    listener: TcpListener,
-    cfg: ReactorConfig,
-    completions: Arc<Completions>,
-    counters: Arc<Counters>,
-    registry: ReactorRegistry,
-}
-
-/// Control handle of a reactor running on its own thread.
-pub struct ReactorHandle {
-    addr: SocketAddr,
-    completions: Arc<Completions>,
-    counters: Arc<Counters>,
-    thread: Option<thread::JoinHandle<io::Result<()>>>,
-}
-
-impl ReactorHandle {
-    /// The bound listen address (resolved, so port 0 becomes concrete).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ReactorStats {
-        self.counters.snapshot()
-    }
-
-    /// Stop the event loop, close every connection, and join the thread.
-    ///
-    /// # Errors
-    ///
-    /// The I/O error that terminated the loop, if it did not exit
-    /// cleanly.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        self.begin_shutdown();
-        match self.thread.take() {
-            Some(t) => t
-                .join()
-                .unwrap_or_else(|_| Err(io::Error::other("reactor thread panicked"))),
-            None => Ok(()),
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        self.completions.shutdown.store(true, Ordering::SeqCst);
-        sys::eventfd_signal(self.completions.wake.0);
-    }
-}
-
-impl Drop for ReactorHandle {
-    fn drop(&mut self) {
-        if let Some(t) = self.thread.take() {
-            self.begin_shutdown();
-            let _ = t.join();
-        }
-    }
-}
-
-impl Reactor {
-    /// Bind a listener and prepare the event loop (which starts on
-    /// [`Reactor::run`] or [`Reactor::spawn`]).
-    ///
-    /// # Errors
-    ///
-    /// Socket or eventfd creation failures.
-    pub fn bind(
-        frontend: Arc<dyn Frontend>,
-        addr: impl ToSocketAddrs,
-        cfg: ReactorConfig,
-    ) -> io::Result<Reactor> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let counters = Arc::new(Counters::default());
-        let registry = ReactorRegistry::new(vec![Arc::clone(&counters)]);
-        Reactor::over(frontend, listener, cfg, counters, registry)
-    }
-
-    /// Wrap an already-bound non-blocking listener (used by
-    /// [`ReactorPool`], where the listeners share a port and the
-    /// registry spans every reactor).
-    fn over(
-        frontend: Arc<dyn Frontend>,
-        listener: TcpListener,
-        cfg: ReactorConfig,
-        counters: Arc<Counters>,
-        registry: ReactorRegistry,
-    ) -> io::Result<Reactor> {
-        let completions = Arc::new(Completions::new()?);
-        Ok(Reactor {
-            frontend,
-            listener,
-            cfg,
-            completions,
-            counters,
-            registry,
-        })
-    }
-
-    /// The bound listen address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `TcpListener::local_addr` failures.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Counter snapshot (shareable before `run`/`spawn`).
-    pub fn stats(&self) -> ReactorStats {
-        self.counters.snapshot()
-    }
-
-    /// Run the event loop on the current thread until shut down or a
-    /// fatal I/O error. The `serve` binary calls this from `main`, so a
-    /// TCP server uses exactly `workers + 1` threads.
-    ///
-    /// # Errors
-    ///
-    /// Fatal epoll failures (per-connection errors just close that
-    /// connection).
-    pub fn run(self) -> io::Result<()> {
-        Loop::new(self)?.run()
-    }
-
-    /// Run the event loop on a dedicated thread, returning a handle for
-    /// address lookup, stats, and shutdown.
-    ///
-    /// # Errors
-    ///
-    /// Address resolution failures before the thread starts.
-    pub fn spawn(self) -> io::Result<ReactorHandle> {
-        let addr = self.local_addr()?;
-        let completions = Arc::clone(&self.completions);
-        let counters = Arc::clone(&self.counters);
-        let thread = thread::Builder::new()
-            .name("atlas-reactor".into())
-            .spawn(move || self.run())?;
-        Ok(ReactorHandle {
-            addr,
-            completions,
-            counters,
-            thread: Some(thread),
-        })
-    }
-}
-
-/// N reactors serving one listen address, each on its own thread with
-/// its own epoll instance, listener, connection table, and wakeup.
+/// N epoll reactors serving one [`Frontend`] (typically an
+/// [`AtlasService`]; the shard proxy is the other implementation) on one
+/// listen address, each on its own thread with its own epoll instance,
+/// listener, connection table, and wakeup. Dropping the pool stops
+/// every reactor and closes every connection.
 ///
 /// Listeners are bound with `SO_REUSEPORT` so the kernel load-balances
 /// accepts across reactors; where the option is unavailable the pool
 /// falls back to dup'd handles of one listener (a shared accept queue).
 pub struct ReactorPool {
-    reactors: Vec<Reactor>,
     addr: SocketAddr,
-    registry: ReactorRegistry,
     /// False when the `SO_REUSEPORT` path was refused and the pool fell
     /// back to a shared accept queue.
     reuseport: bool,
+    registry: ReactorRegistry,
+    /// Each started reactor's completion queue, for the shutdown signal.
+    wakes: Vec<Arc<Completions>>,
+    threads: Vec<thread::JoinHandle<io::Result<()>>>,
 }
 
 impl ReactorPool {
-    /// Bind `threads` reactors on `addr` (port 0 resolves once and every
-    /// reactor shares the concrete port).
+    /// Bind `threads` reactors (at least one) on `addr` and start each
+    /// on its own thread. Port 0 resolves once and every reactor shares
+    /// the concrete port.
     ///
     /// # Errors
     ///
-    /// Socket or eventfd creation failures. A refused `SO_REUSEPORT` is
-    /// not an error — the pool falls back to a shared accept queue.
-    pub fn bind(
+    /// Socket, eventfd, epoll, or thread creation failures; reactors
+    /// already started are shut down. A refused `SO_REUSEPORT` is not an
+    /// error — the pool falls back to a shared accept queue.
+    pub fn spawn(
         frontend: Arc<dyn Frontend>,
         addr: impl ToSocketAddrs,
         cfg: ReactorConfig,
         threads: usize,
     ) -> io::Result<ReactorPool> {
-        let threads = threads.max(1);
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
-        let (listeners, reuseport) = bind_listeners(addr, threads)?;
-        let addr = listeners[0].local_addr()?;
-        let counters: Vec<Arc<Counters>> = (0..listeners.len())
-            .map(|_| Arc::new(Counters::default()))
-            .collect();
+        let (listeners, reuseport) = bind_listeners(addr, threads.max(1))?;
+        let counters: Vec<Arc<Counters>> = listeners.iter().map(|_| Arc::default()).collect();
         let registry = ReactorRegistry::new(counters.clone());
-        let reactors = listeners
-            .into_iter()
-            .zip(counters)
-            .map(|(listener, counters)| {
-                Reactor::over(
-                    Arc::clone(&frontend),
-                    listener,
-                    cfg.clone(),
-                    counters,
-                    registry.clone(),
-                )
-            })
-            .collect::<io::Result<Vec<Reactor>>>()?;
-        Ok(ReactorPool {
-            reactors,
-            addr,
-            registry,
+        let mut pool = ReactorPool {
+            addr: listeners[0].local_addr()?,
             reuseport,
-        })
+            registry: registry.clone(),
+            wakes: Vec::with_capacity(listeners.len()),
+            threads: Vec::with_capacity(listeners.len()),
+        };
+        // An early return drops `pool`, which stops the loops started so far.
+        for (i, (listener, counters)) in listeners.into_iter().zip(counters).enumerate() {
+            let completions = Arc::new(Completions::new()?);
+            let event_loop = Loop::new(
+                Arc::clone(&frontend),
+                registry.clone(),
+                listener,
+                cfg.clone(),
+                Arc::clone(&completions),
+                counters,
+            )?;
+            let thread = thread::Builder::new()
+                .name(format!("atlas-reactor-{i}"))
+                .spawn(move || event_loop.run())?;
+            pool.wakes.push(completions);
+            pool.threads.push(thread);
+        }
+        Ok(pool)
     }
 
     /// The bound listen address (resolved, so port 0 becomes concrete).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -789,54 +648,6 @@ impl ReactorPool {
     /// accept-queue fallback).
     pub fn reuseport(&self) -> bool {
         self.reuseport
-    }
-
-    /// The shared per-reactor counter registry.
-    pub fn registry(&self) -> ReactorRegistry {
-        self.registry.clone()
-    }
-
-    /// Start every reactor on its own thread.
-    ///
-    /// # Errors
-    ///
-    /// Thread spawn failures (already-started reactors are shut down).
-    pub fn spawn(self) -> io::Result<PoolHandle> {
-        let addr = self.addr;
-        let registry = self.registry;
-        let mut handles = Vec::with_capacity(self.reactors.len());
-        for (i, reactor) in self.reactors.into_iter().enumerate() {
-            let completions = Arc::clone(&reactor.completions);
-            let counters = Arc::clone(&reactor.counters);
-            let thread = thread::Builder::new()
-                .name(format!("atlas-reactor-{i}"))
-                .spawn(move || reactor.run())?;
-            handles.push(ReactorHandle {
-                addr,
-                completions,
-                counters,
-                thread: Some(thread),
-            });
-        }
-        Ok(PoolHandle {
-            addr,
-            registry,
-            handles,
-        })
-    }
-}
-
-/// Control handle of a running [`ReactorPool`].
-pub struct PoolHandle {
-    addr: SocketAddr,
-    registry: ReactorRegistry,
-    handles: Vec<ReactorHandle>,
-}
-
-impl PoolHandle {
-    /// The bound listen address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Per-reactor counter snapshots, in reactor order.
@@ -865,20 +676,9 @@ impl PoolHandle {
     ///
     /// The first I/O error that terminated a loop, if any did not exit
     /// cleanly.
-    pub fn shutdown(self) -> io::Result<()> {
-        // Signal every loop before joining any, so they wind down in
-        // parallel.
-        for h in &self.handles {
-            h.begin_shutdown();
-        }
-        let mut result = Ok(());
-        for h in self.handles {
-            let r = h.shutdown();
-            if result.is_ok() {
-                result = r;
-            }
-        }
-        result
+    pub fn shutdown(mut self) -> io::Result<()> {
+        self.signal_shutdown();
+        self.join_threads()
     }
 
     /// Block until every reactor thread exits (a fatal error or an
@@ -888,20 +688,37 @@ impl PoolHandle {
     /// # Errors
     ///
     /// The first I/O error that terminated a loop.
-    pub fn join(self) -> io::Result<()> {
+    pub fn join(mut self) -> io::Result<()> {
+        self.join_threads()
+    }
+
+    /// Signal every loop before joining any, so they wind down in
+    /// parallel.
+    fn signal_shutdown(&self) {
+        for completions in &self.wakes {
+            completions.shutdown.store(true, Ordering::SeqCst);
+            sys::eventfd_signal(completions.wake.0);
+        }
+    }
+
+    fn join_threads(&mut self) -> io::Result<()> {
         let mut result = Ok(());
-        for mut h in self.handles {
-            let r = match h.thread.take() {
-                Some(t) => t
-                    .join()
-                    .unwrap_or_else(|_| Err(io::Error::other("reactor thread panicked"))),
-                None => Ok(()),
-            };
+        for thread in self.threads.drain(..) {
+            let r = thread
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("reactor thread panicked")));
             if result.is_ok() {
                 result = r;
             }
         }
         result
+    }
+}
+
+impl Drop for ReactorPool {
+    fn drop(&mut self) {
+        self.signal_shutdown();
+        let _ = self.join_threads();
     }
 }
 
@@ -949,7 +766,7 @@ fn bind_listeners(addr: SocketAddr, n: usize) -> io::Result<(Vec<TcpListener>, b
     Ok((listeners, false))
 }
 
-/// The running event loop (private; built by [`Reactor::run`]).
+/// One reactor's event loop (private; started by [`ReactorPool::spawn`]).
 struct Loop {
     frontend: Arc<dyn Frontend>,
     registry: ReactorRegistry,
@@ -968,23 +785,30 @@ struct Loop {
 }
 
 impl Loop {
-    fn new(reactor: Reactor) -> io::Result<Loop> {
+    fn new(
+        frontend: Arc<dyn Frontend>,
+        registry: ReactorRegistry,
+        listener: TcpListener,
+        cfg: ReactorConfig,
+        completions: Arc<Completions>,
+        counters: Arc<Counters>,
+    ) -> io::Result<Loop> {
         let ep = sys::epoll_create()?;
         sys::ctl(
             ep.0,
             sys::EPOLL_CTL_ADD,
-            reactor.listener.as_raw_fd(),
+            listener.as_raw_fd(),
             sys::EPOLLIN,
             TOKEN_LISTENER,
         )?;
-        reactor.completions.watch(&ep)?;
+        completions.watch(&ep)?;
         Ok(Loop {
-            frontend: reactor.frontend,
-            registry: reactor.registry,
-            listener: reactor.listener,
-            cfg: reactor.cfg,
-            completions: reactor.completions,
-            counters: reactor.counters,
+            frontend,
+            registry,
+            listener,
+            cfg,
+            completions,
+            counters,
             ep,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
@@ -1472,9 +1296,12 @@ impl Frontend for AtlasService {
             }
             Ok(RequestLine::Sweep(request)) => sweep(self, request, ctx),
             Ok(RequestLine::Stats { id }) => {
-                let mut stats = protocol::stats_response(id, &self.stats());
-                stats.reactor_threads = ctx.reactor_threads();
-                stats.reactors = ctx.reactor_stats();
+                let stats = protocol::StatsResponse {
+                    id,
+                    reactor_threads: ctx.reactor_threads(),
+                    reactors: ctx.reactor_stats(),
+                    ..self.stats()
+                };
                 Some(protocol::render_stats(&stats))
             }
             Ok(RequestLine::Models { id }) => Some(protocol::render_line(
@@ -1744,11 +1571,8 @@ mod tests {
         ))
     }
 
-    fn spawn_reactor(service: Arc<AtlasService>, cfg: ReactorConfig) -> ReactorHandle {
-        Reactor::bind(service, "127.0.0.1:0", cfg)
-            .expect("binds")
-            .spawn()
-            .expect("spawns")
+    fn spawn_reactor(service: Arc<AtlasService>, cfg: ReactorConfig) -> ReactorPool {
+        ReactorPool::spawn(service, "127.0.0.1:0", cfg, 1).expect("spawns")
     }
 
     fn send_line(stream: &mut TcpStream, line: &str) {
@@ -2344,10 +2168,13 @@ mod tests {
     fn dropped_completer_answers_shutdown_once() {
         let requests = "{\"id\":1,\"verb\":\"drop\"}\n{\"id\":2,\"verb\":\"echo\"}\n";
 
-        let handle = Reactor::bind(Arc::new(DropStub), "127.0.0.1:0", ReactorConfig::default())
-            .expect("binds")
-            .spawn()
-            .expect("spawns");
+        let handle = ReactorPool::spawn(
+            Arc::new(DropStub),
+            "127.0.0.1:0",
+            ReactorConfig::default(),
+            1,
+        )
+        .expect("spawns");
         let mut stream = TcpStream::connect(handle.addr()).expect("connects");
         let mut reader = BufReader::new(stream.try_clone().expect("clones"));
         stream.write_all(requests.as_bytes()).expect("writes");

@@ -83,7 +83,7 @@ use crate::cache::{CacheStats, LruCache};
 use crate::error::ServeError;
 use crate::protocol::{
     delta_response, summarize, PredictDeltaRequest, PredictDeltaResponse, PredictRequest,
-    PredictResponse,
+    PredictResponse, StatsResponse,
 };
 use crate::quota::{Admission, QuotaGate};
 use crate::registry::{ModelCatalog, ModelRegistry, RegistryError, SavedModel};
@@ -257,7 +257,7 @@ pub struct DesignInfo {
     pub fingerprint: u64,
 }
 
-/// Per-model slice of [`ServiceStats`].
+/// Per-model slice of [`StatsResponse`].
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ModelStats {
     /// Serving name of the model these counters belong to.
@@ -293,40 +293,6 @@ pub struct ModelStats {
     pub embedding_cache: CacheStats,
     /// This model's design-cache counters (`weight`/`budget` entries).
     pub design_cache: CacheStats,
-}
-
-/// Aggregate service counters, with a per-model breakdown.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ServiceStats {
-    /// Requests answered (including errors, including requests that
-    /// failed before resolving a model).
-    pub requests: u64,
-    /// Requests that returned an error.
-    pub errors: u64,
-    /// Cold embeddings actually computed (one full simulate + encode
-    /// pipeline each). With single-flight, N concurrent cold requests
-    /// for one key bump this by exactly 1.
-    pub embeddings_computed: u64,
-    /// Requests that waited on another request's in-flight computation
-    /// instead of recomputing it.
-    pub coalesced_requests: u64,
-    /// Head rows evaluated, summed over models
-    /// ([`ModelStats::head_rows_evaluated`]).
-    pub head_rows_evaluated: u64,
-    /// Head rows copied from a delta's base, summed over models
-    /// ([`ModelStats::head_rows_reused`]).
-    pub head_rows_reused: u64,
-    /// Embedding-cache counters summed over models (`weight`/`budget` in
-    /// bytes).
-    pub embedding_cache: CacheStats,
-    /// Design-cache counters summed over models (`weight`/`budget` in
-    /// entries).
-    pub design_cache: CacheStats,
-    /// Shard identity of this process ([`ServiceConfig::shard_id`];
-    /// `None` when serving unsharded).
-    pub shard_id: Option<u32>,
-    /// Per-model breakdown, sorted by serving name.
-    pub models: Vec<ModelStats>,
 }
 
 /// Sum two cache-counter snapshots (used for the cross-model aggregate).
@@ -874,8 +840,10 @@ impl AtlasService {
         recv(&self.submit(request))
     }
 
-    /// Aggregate counters plus the per-model breakdown.
-    pub fn stats(&self) -> ServiceStats {
+    /// Aggregate counters plus the per-model breakdown, as the `stats`
+    /// verb's reply with no request id and the reactor fields empty
+    /// (`reactor_threads: 0`, no `reactors`).
+    pub fn stats(&self) -> StatsResponse {
         let mut models: Vec<ModelStats> = {
             let map = self.shared.models.read().expect("models lock");
             let hosted = map.len();
@@ -884,11 +852,12 @@ impl AtlasService {
                 .collect()
         };
         models.sort_by(|a, b| a.model.cmp(&b.model));
-        let mut stats = ServiceStats {
+        let mut stats = StatsResponse {
+            verb: "stats".to_owned(),
             requests: self.shared.requests.load(Ordering::Relaxed),
             errors: self.shared.errors.load(Ordering::Relaxed),
             shard_id: self.shared.cfg.shard_id,
-            ..ServiceStats::default()
+            ..StatsResponse::default()
         };
         for m in &models {
             stats.embeddings_computed += m.embeddings_computed;
@@ -1123,17 +1092,7 @@ impl AtlasService {
     /// The same name/library errors as [`AtlasService::load_design`].
     pub fn load_design_parsed(&self, name: &str, design: Design) -> Result<DesignInfo, ServeError> {
         let bad = |msg: String| ServeError::InvalidRequest(msg);
-        let name_ok = !name.is_empty()
-            && name.len() <= 64
-            && !name.starts_with('.')
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-        if !name_ok {
-            return Err(bad(format!(
-                "bad design name `{name}`: 1-64 chars of [A-Za-z0-9._-], not starting with `.`"
-            )));
-        }
+        check_library_name("design", name)?;
         if self
             .shared
             .default_state
@@ -1440,6 +1399,25 @@ fn requeue(queue: &Queue, job: Job) {
     }
 }
 
+/// The naming rule of the design and workload libraries: 1-64 chars of
+/// `[A-Za-z0-9._-]`, not starting with `.`. `noun` names the library in
+/// the error.
+fn check_library_name(noun: &str, name: &str) -> Result<(), ServeError> {
+    let name_ok = !name.is_empty()
+        && name.len() <= 64
+        && !name.starts_with('.')
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
+    if name_ok {
+        Ok(())
+    } else {
+        Err(ServeError::InvalidRequest(format!(
+            "bad {noun} name `{name}`: 1-64 chars of [A-Za-z0-9._-], not starting with `.`"
+        )))
+    }
+}
+
 /// Shared name/schedule validation of `register_workload` and journal
 /// replay.
 fn validate_workload(
@@ -1448,17 +1426,7 @@ fn validate_workload(
     cfg: &ServiceConfig,
 ) -> Result<(), ServeError> {
     let bad = |msg: String| ServeError::InvalidRequest(msg);
-    let name_ok = !name.is_empty()
-        && name.len() <= 64
-        && !name.starts_with('.')
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-    if !name_ok {
-        return Err(bad(format!(
-            "bad workload name `{name}`: 1-64 chars of [A-Za-z0-9._-], not starting with `.`"
-        )));
-    }
+    check_library_name("workload", name)?;
     if PhasedWorkload::preset(name, 0).is_some() {
         return Err(bad(format!(
             "workload name `{name}` shadows a built-in preset"
@@ -2781,6 +2749,14 @@ mod tests {
             service.register_workload("x/y", phases.clone()),
             Err(ServeError::InvalidRequest(_))
         ));
+        // Names are capped at 64 chars: 65 is refused, 64 registers.
+        let err = service
+            .register_workload(&"w".repeat(65), phases.clone())
+            .expect_err("65-char name");
+        assert!(err.to_string().contains("bad workload name"), "got: {err}");
+        service
+            .register_workload(&"w".repeat(64), phases.clone())
+            .expect("64-char name registers");
         assert!(matches!(
             service.register_workload("bad", vec![]),
             Err(ServeError::InvalidRequest(_))
@@ -3349,13 +3325,20 @@ mod tests {
             let err = service.load_design(name, body).expect_err(name);
             assert_eq!(err.kind(), "invalid_request", "{name}");
         }
+        // Names are capped at 64 chars: 65 is refused, 64 is accepted below.
+        let err = service
+            .load_design(&"d".repeat(65), &verilog)
+            .expect_err("65-char name");
+        assert_eq!(err.kind(), "invalid_request");
+        assert!(err.to_string().contains("bad design name"), "got: {err}");
         let oversize = format!("{verilog}{}", "/".repeat(513));
         let err = service.load_design("big", &oversize).expect_err("oversize");
         assert_eq!(err.kind(), "invalid_request");
         assert!(err.to_string().contains("bytes"), "got: {err}");
 
-        service.load_design("ok", &verilog).expect("fits");
-        let err = service.load_design("ok", &verilog).expect_err("duplicate");
+        let ok = "d".repeat(64);
+        service.load_design(&ok, &verilog).expect("fits");
+        let err = service.load_design(&ok, &verilog).expect_err("duplicate");
         assert_eq!(err.kind(), "invalid_request");
         assert!(err.to_string().contains("already loaded"), "got: {err}");
         let err = service.load_design("two", &verilog).expect_err("full");

@@ -37,9 +37,11 @@ use std::time::{Duration, Instant};
 use serde::Value;
 
 use crate::error::ServeError;
-use crate::protocol::{self, PredictRequest, RequestLine, ShardInfo, ShardMapResponse};
+use crate::protocol::{
+    self, PredictRequest, RequestLine, ShardInfo, ShardMapResponse, StatsResponse,
+};
 use crate::reactor::{Completer, Frontend, FrontendContext};
-use crate::service::{fnv1a, ServiceStats};
+use crate::service::fnv1a;
 
 /// Virtual nodes per shard when the caller does not pick a count. 128
 /// points per shard keeps the expected load imbalance of a small fleet
@@ -397,8 +399,8 @@ fn restore_id(mut value: Value, original: Option<u64>) -> String {
 }
 
 /// The shard fleet's front door: a [`Frontend`] that routes every
-/// `predict` line to the shard owning its trace key. Plug it into a
-/// [`crate::reactor::Reactor`] or [`crate::reactor::ReactorPool`] — the
+/// `predict` line to the shard owning its trace key. Serve it with
+/// [`ReactorPool::spawn`](crate::reactor::ReactorPool::spawn) — the
 /// `atlas-shard` binary is exactly that.
 pub struct ShardProxy {
     ring: ShardRing,
@@ -550,15 +552,15 @@ impl Frontend for ShardProxy {
             Ok(RequestLine::Stats { id }) => {
                 // The proxy's own traffic counters — per-shard cache and
                 // model stats live behind each shard's own `stats` verb.
-                let stats = ServiceStats {
+                Some(protocol::render_stats(&StatsResponse {
+                    id,
+                    verb: "stats".to_owned(),
                     requests: self.requests.load(Ordering::Relaxed),
                     errors: self.errors.load(Ordering::Relaxed),
-                    ..ServiceStats::default()
-                };
-                let mut response = protocol::stats_response(id, &stats);
-                response.reactor_threads = ctx.reactor_threads();
-                response.reactors = ctx.reactor_stats();
-                Some(protocol::render_stats(&response))
+                    reactor_threads: ctx.reactor_threads(),
+                    reactors: ctx.reactor_stats(),
+                    ..StatsResponse::default()
+                }))
             }
             Ok(RequestLine::Models { id }) => self.fail(id, unroutable("models")),
             Ok(RequestLine::Workloads { id }) => self.fail(id, unroutable("workloads")),

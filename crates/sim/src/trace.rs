@@ -65,15 +65,6 @@ impl ToggleTrace {
         self.net_toggles.count_col(net.index())
     }
 
-    /// Fraction of cycles in which `net` toggled.
-    pub fn toggle_rate(&self, net: NetId) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.toggle_count(net) as f64 / self.cycles as f64
-        }
-    }
-
     /// Number of nets that toggled in each cycle.
     pub fn per_cycle_counts(&self) -> Vec<usize> {
         (0..self.cycles)

@@ -3,13 +3,13 @@
 //! running in the same process.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use atlas_core::pipeline::{train_atlas, ExperimentConfig};
-use atlas_serve::reactor::{Reactor, ReactorConfig, ReactorPool};
+use atlas_serve::reactor::{Frontend, FrontendContext, ReactorConfig, ReactorPool};
 use atlas_serve::{AtlasService, PredictResponse, ServiceConfig, StatsResponse};
 
 /// Every test in this binary reasons about the process-global OS thread
@@ -87,10 +87,8 @@ fn reactor_holds_512_idle_connections_without_threads() {
         },
     ));
     let frontend: Arc<AtlasService> = Arc::clone(&service);
-    let handle = Reactor::bind(frontend, "127.0.0.1:0", ReactorConfig::default())
-        .expect("binds")
-        .spawn()
-        .expect("spawns");
+    let handle =
+        ReactorPool::spawn(frontend, "127.0.0.1:0", ReactorConfig::default(), 1).expect("spawns");
 
     // Service workers + reactor thread are already up; from here on the
     // thread count must not move.
@@ -174,10 +172,9 @@ fn reactor_pool_spreads_512_idle_connections_with_exact_thread_bound() {
         },
     ));
     let frontend: Arc<AtlasService> = Arc::clone(&service);
-    let pool = ReactorPool::bind(frontend, "127.0.0.1:0", ReactorConfig::default(), reactors)
-        .expect("binds");
-    let reuseport = pool.reuseport();
-    let handle = pool.spawn().expect("spawns");
+    let handle = ReactorPool::spawn(frontend, "127.0.0.1:0", ReactorConfig::default(), reactors)
+        .expect("spawns");
+    let reuseport = handle.reuseport();
     let fleet = base + (workers + reactors) as u64;
     assert_eq!(
         os_threads(),
@@ -268,7 +265,7 @@ fn backpressured_connection_does_not_stall_the_pool() {
         },
     ));
     let frontend: Arc<AtlasService> = Arc::clone(&service);
-    let pool = ReactorPool::bind(
+    let handle = ReactorPool::spawn(
         frontend,
         "127.0.0.1:0",
         ReactorConfig {
@@ -279,8 +276,7 @@ fn backpressured_connection_does_not_stall_the_pool() {
         },
         2,
     )
-    .expect("binds");
-    let handle = pool.spawn().expect("spawns");
+    .expect("spawns");
 
     // Warm the one key every client uses, so the flood drains through
     // the workers as cache hits rather than serial recomputes.
@@ -369,4 +365,48 @@ fn backpressured_connection_does_not_stall_the_pool() {
     drop(warm);
     drop(victim);
     handle.shutdown().expect("clean shutdown");
+}
+
+/// Answers every line inline, so a pool needs no service behind it.
+struct EchoStub;
+
+impl Frontend for EchoStub {
+    fn handle(&self, line: &str, _ctx: &FrontendContext<'_>) -> Option<String> {
+        Some(line.to_owned())
+    }
+}
+
+/// Dropping a running pool without calling `shutdown()` stops it: the
+/// open connection reads EOF and every reactor thread is joined.
+#[test]
+fn dropping_the_pool_closes_connections_and_joins_its_threads() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let before = settled_threads();
+    let pool = ReactorPool::spawn(
+        Arc::new(EchoStub),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        2,
+    )
+    .expect("spawns");
+    assert_eq!(os_threads(), before + 2, "one thread per reactor");
+
+    let mut client = TcpStream::connect(pool.addr()).expect("connects");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(client.try_clone().expect("clones"));
+    assert_eq!(ask(&mut client, &mut reader, "ping"), "ping\n");
+
+    drop(pool);
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("the pool closes the connection");
+    assert!(rest.is_empty(), "nothing follows the close: {rest:?}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while os_threads() != before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(os_threads(), before, "every reactor thread exited");
 }

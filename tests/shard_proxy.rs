@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use atlas_core::pipeline::{train_atlas, ExperimentConfig};
 use atlas_serve::protocol::salvage_id;
-use atlas_serve::reactor::{Frontend, FrontendContext, Reactor, ReactorConfig, ReactorHandle};
+use atlas_serve::reactor::{Frontend, FrontendContext, ReactorConfig, ReactorPool};
 use atlas_serve::{
     trace_route_key, AtlasService, PredictDeltaResponse, PredictResponse, ServiceConfig, ShardInfo,
     ShardProxy, ShardRing,
@@ -44,7 +44,7 @@ fn ask(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) ->
 fn aliased_spellings_of_one_trace_key_share_a_shard_cache() {
     let cfg = micro_config();
     let trained = train_atlas(&cfg);
-    let spawn_backend = || -> ReactorHandle {
+    let spawn_backend = || -> ReactorPool {
         let service = Arc::new(AtlasService::start_with(
             trained.model.clone(),
             cfg.clone(),
@@ -53,12 +53,9 @@ fn aliased_spellings_of_one_trace_key_share_a_shard_cache() {
                 ..ServiceConfig::default()
             },
         ));
-        Reactor::bind(service, "127.0.0.1:0", ReactorConfig::default())
-            .expect("binds")
-            .spawn()
-            .expect("spawns")
+        ReactorPool::spawn(service, "127.0.0.1:0", ReactorConfig::default(), 1).expect("spawns")
     };
-    let backends: Vec<ReactorHandle> = (0..2).map(|_| spawn_backend()).collect();
+    let backends: Vec<ReactorPool> = (0..2).map(|_| spawn_backend()).collect();
 
     // Register the same schedule on every backend — the proxy refuses
     // mutating verbs, so clients talk to the shards directly for that.
@@ -87,10 +84,8 @@ fn aliased_spellings_of_one_trace_key_share_a_shard_cache() {
             .expect("proxy")
             .with_default_model("default"),
     );
-    let front = Reactor::bind(proxy, "127.0.0.1:0", ReactorConfig::default())
-        .expect("binds")
-        .spawn()
-        .expect("spawns");
+    let front =
+        ReactorPool::spawn(proxy, "127.0.0.1:0", ReactorConfig::default(), 1).expect("spawns");
     let mut stream = TcpStream::connect(front.addr()).expect("connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clones"));
 
@@ -206,10 +201,13 @@ fn dead_shard_requests_are_answered_exactly_once() {
         let sock = TcpListener::bind("127.0.0.1:0").expect("bind");
         sock.local_addr().expect("addr").to_string()
     };
-    let live = Reactor::bind(Arc::new(EchoShard), "127.0.0.1:0", ReactorConfig::default())
-        .expect("binds")
-        .spawn()
-        .expect("spawns");
+    let live = ReactorPool::spawn(
+        Arc::new(EchoShard),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        1,
+    )
+    .expect("spawns");
     let shards = vec![
         ShardInfo {
             id: 0,
@@ -230,13 +228,12 @@ fn dead_shard_requests_are_answered_exactly_once() {
             .expect("some design routes to every shard")
     };
     let (on_dead, on_live) = (design_on(0), design_on(1));
-    let front = Reactor::bind(
+    let front = ReactorPool::spawn(
         Arc::new(ShardProxy::new(shards).expect("proxy")),
         "127.0.0.1:0",
         ReactorConfig::default(),
+        1,
     )
-    .expect("binds")
-    .spawn()
     .expect("spawns");
     let mut stream = TcpStream::connect(front.addr()).expect("connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clones"));
