@@ -494,6 +494,59 @@ fn ranged_items(
     items
 }
 
+/// Compute the rows of every [`ranged_items`] item — `work(sm, start,
+/// len)` returns one row per unit — with the items packed into
+/// [`lpt_bins`] by node work, each bin on a scoped thread (on the calling
+/// thread when only one bin has work), and scatter them so
+/// `out[sm][start + k]` is row `k` of its item.
+fn fan_out<T: Send + Default + Clone>(
+    data: &[SubmoduleData],
+    totals: &[usize],
+    threads: usize,
+    work: impl Fn(usize, usize, usize) -> Vec<T> + Sync,
+) -> Vec<Vec<T>> {
+    let items = ranged_items(data, totals, threads);
+    let weights: Vec<usize> = items
+        .iter()
+        .map(|&(sm, _, len)| data[sm].node_count() * len)
+        .collect();
+    let run = |bin: Vec<usize>| -> Vec<(usize, usize, Vec<T>)> {
+        bin.into_iter()
+            .map(|i| {
+                let (sm, start, len) = items[i];
+                (sm, start, work(sm, start, len))
+            })
+            .collect()
+    };
+    let mut bins: Vec<Vec<usize>> = lpt_bins(&weights, threads)
+        .into_iter()
+        .filter(|bin| !bin.is_empty())
+        .collect();
+    let done = if bins.len() <= 1 {
+        bins.pop().map(run).unwrap_or_default()
+    } else {
+        crossbeam::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = bins
+                .into_iter()
+                .map(|bin| scope.spawn(move |_| run(bin)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+        .expect("scoped threads join")
+    };
+    let mut out: Vec<Vec<T>> = totals.iter().map(|&n| vec![T::default(); n]).collect();
+    for (sm, start, rows) in done {
+        for (off, row) in rows.into_iter().enumerate() {
+            out[sm][start + off] = row;
+        }
+    }
+    out
+}
+
 /// Phase-1 output: per (sub-module, cycle) side features, and each
 /// sub-module's cycles collapsed onto its whole-trace unique
 /// toggle-pattern set (`pattern_of[sm][cycle]` indexes `uniq_bits[sm]`).
@@ -517,72 +570,37 @@ fn scan_trace(
     threads: usize,
 ) -> TraceScan {
     let cycles = trace.cycles();
-    let scan_items = ranged_items(data, &vec![cycles; data.len()], threads);
-    let scan_weights: Vec<usize> = scan_items
-        .iter()
-        .map(|&(sm, _, len)| data[sm].node_count() * len)
-        .collect();
-    type ScanOut = (usize, usize, Vec<Vec<u64>>, Vec<SideFeatures>);
-    let scans: Vec<ScanOut> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for bin in lpt_bins(&scan_weights, threads) {
-            if bin.is_empty() {
-                continue;
-            }
-            let scan_items = &scan_items;
-            handles.push(scope.spawn(move |_| {
-                let mut local: Vec<ScanOut> = Vec::with_capacity(bin.len());
-                for i in bin {
-                    let (sm, start, len) = scan_items[i];
-                    let smd = &data[sm];
-                    let n = smd.node_count();
-                    let words = n.div_ceil(64);
-                    let mut bits_per_cycle = Vec::with_capacity(len);
-                    for t in start..start + len {
-                        let mut bits = vec![0u64; words];
-                        for (node, &cell) in smd.cells().iter().enumerate() {
-                            if trace.cell_toggled(gate, t, cell) {
-                                bits[node / 64] |= 1 << (node % 64);
-                            }
+    let scans = fan_out(
+        data,
+        &vec![cycles; data.len()],
+        threads,
+        |sm, start, len| {
+            let smd = &data[sm];
+            let words = smd.node_count().div_ceil(64);
+            let table = SideTable::new(smd, gate, lib, trace);
+            (start..start + len)
+                .map(|t| {
+                    let mut bits = vec![0u64; words];
+                    for (node, &cell) in smd.cells().iter().enumerate() {
+                        if trace.cell_toggled(gate, t, cell) {
+                            bits[node / 64] |= 1 << (node % 64);
                         }
-                        bits_per_cycle.push(bits);
                     }
-                    let table = SideTable::new(smd, gate, lib, trace);
-                    let sides = (start..start + len)
-                        .map(|t| table.side_features(gate, trace, t))
-                        .collect();
-                    local.push((sm, start, bits_per_cycle, sides));
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scoped threads join");
-
-    let mut sides_of: Vec<Vec<SideFeatures>> = data
-        .iter()
-        .map(|_| vec![SideFeatures::default(); cycles])
-        .collect();
-    let mut bits_of: Vec<Vec<Vec<u64>>> = data.iter().map(|_| vec![Vec::new(); cycles]).collect();
-    for (sm, start, bits_per_cycle, sides) in scans {
-        for (off, b) in bits_per_cycle.into_iter().enumerate() {
-            bits_of[sm][start + off] = b;
-        }
-        for (off, s) in sides.into_iter().enumerate() {
-            sides_of[sm][start + off] = s;
-        }
-    }
+                    (bits, table.side_features(gate, trace, t))
+                })
+                .collect()
+        },
+    );
+    let mut sides_of: Vec<Vec<SideFeatures>> = Vec::with_capacity(data.len());
     let mut pattern_of: Vec<Vec<usize>> = Vec::with_capacity(data.len());
     let mut uniq_bits: Vec<Vec<Vec<u64>>> = Vec::with_capacity(data.len());
-    for bits_per_cycle in bits_of {
+    for scan in scans {
         let mut uniq: HashMap<Vec<u64>, usize> = HashMap::new();
         let mut uniqs: Vec<Vec<u64>> = Vec::new();
         let mut slots = Vec::with_capacity(cycles);
-        for bits in bits_per_cycle {
+        let mut sides = Vec::with_capacity(cycles);
+        for (bits, side) in scan {
+            sides.push(side);
             let slot = match uniq.get(&bits) {
                 Some(&slot) => slot,
                 None => {
@@ -594,6 +612,7 @@ fn scan_trace(
             };
             slots.push(slot);
         }
+        sides_of.push(sides);
         pattern_of.push(slots);
         uniq_bits.push(uniqs);
     }
@@ -618,57 +637,21 @@ fn encode_unique(
     slots: &[Vec<usize>],
     threads: usize,
 ) -> Vec<Vec<Vec<f64>>> {
-    let counts: Vec<usize> = slots.iter().map(|s| s.len()).collect();
-    let enc_items = ranged_items(data, &counts, threads);
-    let enc_weights: Vec<usize> = enc_items
-        .iter()
-        .map(|&(sm, _, len)| data[sm].node_count() * len)
-        .collect();
-    type EncOut = (usize, usize, Vec<Vec<f64>>);
-    let encoded: Vec<EncOut> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for bin in lpt_bins(&enc_weights, threads) {
-            if bin.is_empty() {
-                continue;
-            }
-            let enc_items = &enc_items;
-            handles.push(scope.spawn(move |_| {
-                let mut local: Vec<EncOut> = Vec::with_capacity(bin.len());
-                for i in bin {
-                    let (sm, start, len) = enc_items[i];
-                    let smd = &data[sm];
-                    let bits = &uniq_bits[sm];
-                    let pick = &slots[sm];
-                    // Each pattern's features are expanded from its
-                    // bitset straight into the chunk's stacked operand
-                    // (no second trace scan), so live feature memory
-                    // stays within the encoder's chunk budget.
-                    let enc = &encoder.encoder;
-                    let rows = enc.encode_graph_batch_fill(
-                        smd.adj(),
-                        len,
-                        enc.cycle_chunk(smd.node_count()),
-                        |u, dst| smd.write_features_from_bits(&bits[pick[start + u]], dst),
-                    );
-                    local.push((sm, start, rows));
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
+    let counts: Vec<usize> = slots.iter().map(Vec::len).collect();
+    fan_out(data, &counts, threads, |sm, start, len| {
+        let smd = &data[sm];
+        let (bits, pick) = (&uniq_bits[sm], &slots[sm]);
+        // Each pattern's features are expanded from its bitset straight
+        // into the chunk's stacked operand (no second trace scan), so
+        // live feature memory stays within the encoder's chunk budget.
+        let enc = &encoder.encoder;
+        enc.encode_graph_batch_fill(
+            smd.adj(),
+            len,
+            enc.cycle_chunk(smd.node_count()),
+            |u, dst| smd.write_features_from_bits(&bits[pick[start + u]], dst),
+        )
     })
-    .expect("scoped threads join");
-
-    let mut out: Vec<Vec<Vec<f64>>> = counts.iter().map(|&u| vec![Vec::new(); u]).collect();
-    for (sm, start, rows) in encoded {
-        for (off, r) in rows.into_iter().enumerate() {
-            out[sm][start + off] = r;
-        }
-    }
-    out
 }
 
 /// Resolve a `threads` argument (`0` = auto: available parallelism

@@ -5,8 +5,8 @@
 //! monitoring connection. This module runs a classic event loop instead:
 //!
 //! * every connection is **non-blocking** and registered with one epoll
-//!   instance; idle connections cost a file descriptor and a small buffer
-//!   pair, not a thread;
+//!   instance; idle connections cost a file descriptor and a small
+//!   line-stream core, not a thread;
 //! * complete JSON lines are parsed on the reactor thread and handed to
 //!   a [`Frontend`] — for [`AtlasService`] that means predictions go to
 //!   the worker pool via [`AtlasService::submit_with`]; the worker's
@@ -44,9 +44,20 @@
 //! The `stats` protocol verb is answered inline on the reactor thread —
 //! it is a counter snapshot and never needs a worker.
 //!
-//! The `serve` binary's stdio mode drives the same [`Frontend`] through
-//! [`serve_lines`], a blocking loop with no reactor thread, so every
-//! verb has one implementation whichever transport carries it.
+//! # One line-stream core
+//!
+//! Every line stream frames through one file-descriptor-free
+//! `ConnCore`: it takes the bytes a transport read and yields request
+//! lines, or one refusal for a line over
+//! [`ReactorConfig::max_line_bytes`]; it serves an unterminated last
+//! line at end of stream, queues reply lines and counts those written,
+//! counts requests in flight, and reports read and write interest with
+//! the back-pressure hysteresis. A reactor connection is a socket, a
+//! core and its registered epoll mask. The `serve` binary's stdio mode,
+//! [`serve_lines`], feeds a core from a blocking reader with no reactor
+//! thread, and the shard proxy reads each backend's replies through one.
+//! So every verb has one implementation, and every stream one framing,
+//! whichever transport carries it.
 //!
 //! # Why raw syscalls?
 //!
@@ -59,6 +70,7 @@
 //! workspace uses, swappable for the real crates when a registry is
 //! available.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -84,7 +96,6 @@ mod sys {
     pub const EPOLLOUT: u32 = 0x004;
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
     pub const EFD_CLOEXEC: i32 = 0o2000000;
     pub const EFD_NONBLOCK: i32 = 0o4000;
     /// Linux errno: too many open files (process fd limit).
@@ -546,26 +557,190 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Per-connection state: the socket plus read/write buffers.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet terminated by a newline.
-    rbuf: Vec<u8>,
-    /// Rendered response bytes not yet accepted by the socket.
-    wbuf: Vec<u8>,
-    /// Consumed prefix of `wbuf` (compacted periodically).
-    wpos: usize,
-    /// Predictions submitted to the worker pool, not yet replied.
-    inflight: usize,
-    /// Event mask currently registered with epoll.
-    interest: u32,
-    /// Peer sent FIN (or line limit hit): no more reads, flush and close.
-    read_closed: bool,
+/// What a [`ConnCore`] wants from its transport next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Interest {
+    /// Read more bytes.
+    pub read: bool,
+    /// Write [`ConnCore::unwritten`].
+    pub write: bool,
+    /// Reading has just stopped for back-pressure (not for a close).
+    pub paused: bool,
 }
 
-impl Conn {
-    fn pending_bytes(&self) -> usize {
-        self.wbuf.len() - self.wpos
+/// One line stream with no file descriptor in it: the framing, buffers,
+/// in-flight count and back-pressure every transport shares. A reactor
+/// connection, the stdio session and a proxy backend's reply stream all
+/// feed it the bytes they read, take request lines out, and write out
+/// the reply bytes it queues, so they frame, cap and count alike.
+pub(crate) struct ConnCore {
+    /// Line cap and back-pressure thresholds (`max_connections` unused).
+    cfg: ReactorConfig,
+    /// Bytes read; lines before `rpos` are taken, and `rbuf[rpos..scanned]`
+    /// holds no newline.
+    rbuf: Vec<u8>,
+    rpos: usize,
+    scanned: usize,
+    /// The peer ended the stream or a line was refused: read no more.
+    read_closed: bool,
+    /// Reply lines; `wbuf[wpos..]` is not yet written.
+    wbuf: Vec<u8>,
+    wpos: usize,
+    /// Requests submitted and not yet completed with their last line.
+    inflight: usize,
+    /// Whether the last [`ConnCore::interest`] asked to read.
+    reading: bool,
+}
+
+impl ConnCore {
+    pub(crate) fn new(cfg: &ReactorConfig) -> ConnCore {
+        ConnCore {
+            cfg: cfg.clone(),
+            rbuf: Vec::new(),
+            rpos: 0,
+            scanned: 0,
+            read_closed: false,
+            wbuf: Vec::new(),
+            wpos: 0,
+            inflight: 0,
+            reading: true,
+        }
+    }
+
+    /// Take bytes read from the peer. An empty read is the end of the
+    /// stream: an unterminated last line is then served as if it ended
+    /// in a newline. Bytes after the read side closed are ignored.
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
+        if self.read_closed {
+            return;
+        }
+        if self.rpos > 0 {
+            self.rbuf.drain(..self.rpos);
+            self.scanned -= self.rpos;
+            self.rpos = 0;
+        }
+        if bytes.is_empty() {
+            self.read_closed = true;
+            if !self.rbuf.is_empty() {
+                self.rbuf.push(b'\n');
+            }
+        } else {
+            self.rbuf.extend_from_slice(bytes);
+        }
+    }
+
+    /// The next request line: newline stripped, blank lines skipped,
+    /// bytes decoded lossily; `None` until more bytes arrive. `Err(reply)`
+    /// means the next line is longer than `max_line_bytes`, however it
+    /// was read: the framing cannot resynchronize, so reading closes and
+    /// the transport answers `reply`.
+    pub(crate) fn next_line(&mut self) -> Option<Result<Cow<'_, str>, String>> {
+        loop {
+            let start = self.rpos;
+            let newline = self.rbuf[self.scanned..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|i| self.scanned + i);
+            if newline.unwrap_or(self.rbuf.len()) - start > self.cfg.max_line_bytes {
+                self.read_closed = true;
+                (self.rpos, self.scanned) = (self.rbuf.len(), self.rbuf.len());
+                let limit = self.cfg.max_line_bytes;
+                let error =
+                    ServeError::InvalidRequest(format!("request line exceeds {limit} bytes"));
+                return Some(Err(protocol::render_result(&Err((None, error)))));
+            }
+            let Some(nl) = newline else {
+                self.scanned = self.rbuf.len();
+                return None;
+            };
+            (self.rpos, self.scanned) = (nl + 1, nl + 1);
+            let line = String::from_utf8_lossy(&self.rbuf[start..nl]);
+            if !line.trim().is_empty() {
+                return Some(Ok(line));
+            }
+        }
+    }
+
+    /// Queue one reply line (the newline is added here).
+    pub(crate) fn queue(&mut self, line: &str) {
+        self.wbuf.extend_from_slice(line.as_bytes());
+        self.wbuf.push(b'\n');
+    }
+
+    /// The queued reply bytes not yet written.
+    pub(crate) fn unwritten(&self) -> &[u8] {
+        &self.wbuf[self.wpos..]
+    }
+
+    /// The transport wrote the first `n` bytes of [`ConnCore::unwritten`].
+    /// Returns how many reply lines that finished.
+    pub(crate) fn wrote(&mut self, n: usize) -> usize {
+        let lines = self.unwritten()[..n]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        self.wpos += n;
+        if self.wpos == self.wbuf.len() {
+            self.wbuf.clear();
+            self.wpos = 0;
+        } else if self.wpos > (64 << 10) {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
+        lines
+    }
+
+    /// A request went out to be answered later, through
+    /// [`ConnCore::complete`].
+    pub(crate) fn submitted(&mut self) {
+        self.inflight += 1;
+    }
+
+    /// Queue one line of a submitted request's reply. Only its `last`
+    /// line takes it out of flight, so a long streamed reply keeps
+    /// counting against `max_inflight`.
+    pub(crate) fn complete(&mut self, line: &str, last: bool) {
+        self.queue(line);
+        if last {
+            self.inflight = self.inflight.saturating_sub(1);
+        }
+    }
+
+    /// Requests submitted and not yet completed.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.inflight
+    }
+
+    /// Which way to wait next. Reading stops at `max_inflight` requests
+    /// in flight or `write_high_water` unwritten bytes, and resumes only
+    /// below half of both, so a stream at a threshold does not flap.
+    pub(crate) fn interest(&mut self) -> Interest {
+        let pending = self.wbuf.len() - self.wpos;
+        let (inflight, high_water) = if self.reading {
+            (self.cfg.max_inflight, self.cfg.write_high_water)
+        } else {
+            (
+                self.cfg.max_inflight.div_ceil(2),
+                self.cfg.write_high_water / 2,
+            )
+        };
+        let read = !self.read_closed && self.inflight < inflight && pending < high_water;
+        let paused = self.reading && !read && !self.read_closed;
+        self.reading = read;
+        Interest {
+            read,
+            write: pending > 0,
+            paused,
+        }
+    }
+
+    /// Whether the stream is done: reading closed with every line taken,
+    /// nothing in flight, nothing left to write.
+    pub(crate) fn finished(&self) -> bool {
+        self.read_closed
+            && self.rpos == self.rbuf.len()
+            && self.inflight == 0
+            && self.wpos == self.wbuf.len()
     }
 }
 
@@ -775,7 +950,8 @@ struct Loop {
     completions: Arc<Completions>,
     counters: Arc<Counters>,
     ep: sys::OwnedFd,
-    conns: HashMap<u64, Conn>,
+    /// Each connection's socket, stream core and registered epoll mask.
+    conns: HashMap<u64, (TcpStream, ConnCore, u32)>,
     next_token: u64,
     /// Set after a non-transient `accept` failure (EMFILE/ENFILE fd
     /// exhaustion): the listener is disarmed and re-armed after a short
@@ -840,8 +1016,16 @@ impl Loop {
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => {
-                        for c in self.completions.drain() {
-                            self.deliver(c);
+                        // Queue the whole batch first, so each connection
+                        // writes its share of it at once.
+                        let batch = self.completions.drain();
+                        for c in &batch {
+                            if let Some((_, core, _)) = self.conns.get_mut(&c.token) {
+                                core.complete(&c.line, c.last);
+                            }
+                        }
+                        for c in &batch {
+                            self.settle(c.token);
                         }
                         if self.completions.shutdown.load(Ordering::SeqCst) {
                             // Close everything; undelivered replies are
@@ -903,272 +1087,101 @@ impl Loop {
         let _ = stream.set_nodelay(true);
         let token = self.next_token;
         self.next_token += 1;
-        let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
         sys::ctl(
             self.ep.0,
             sys::EPOLL_CTL_ADD,
             stream.as_raw_fd(),
-            interest,
+            sys::EPOLLIN,
             token,
         )?;
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wpos: 0,
-                inflight: 0,
-                interest,
-                read_closed: false,
-            },
-        );
+        let core = ConnCore::new(&self.cfg);
+        self.conns.insert(token, (stream, core, sys::EPOLLIN));
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
         self.counters.active.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
+    /// One readiness event: one read fed to the core and every line it
+    /// completes dispatched, then [`Loop::settle`]. A frontend that keeps
+    /// the request (`None`) will answer through a [`Completer`]; counting
+    /// it in flight after `handle` returns is safe, because completions
+    /// are drained only by this thread.
     fn conn_ready(&mut self, token: u64, bits: u32) {
+        let Some((stream, core, _)) = self.conns.get_mut(&token) else {
+            return;
+        };
         if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-            self.close_conn(token);
-            return;
+            return self.close_conn(token);
         }
-        if bits & sys::EPOLLOUT != 0 && !self.flush(token) {
-            return;
+        if bits & sys::EPOLLIN != 0 {
+            let mut chunk = [0u8; 8192];
+            match stream.read(&mut chunk) {
+                Ok(n) => core.feed(&chunk[..n]),
+                Err(e) if must_wait(&e) => {}
+                Err(_) => return self.close_conn(token),
+            }
+            let ctx = FrontendContext {
+                token,
+                completions: &self.completions,
+                registry: &self.registry,
+            };
+            while let Some(line) = core.next_line() {
+                let reply = match line {
+                    Ok(line) => self.frontend.handle(&line, &ctx),
+                    Err(refusal) => Some(refusal),
+                };
+                match reply {
+                    Some(reply) => core.queue(&reply),
+                    None => {
+                        core.submitted();
+                        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
         }
-        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
-            self.read_ready(token);
-        }
+        self.settle(token);
     }
 
-    /// Pull everything the socket has, splitting complete lines into
-    /// requests. Returns nothing; closes the connection on fatal errors.
-    fn read_ready(&mut self, token: u64) {
-        let mut chunk = [0u8; 8192];
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.read_closed {
-                return;
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // Peer sent FIN. Finish in-flight work, then close.
-                    conn.read_closed = true;
-                    if conn.inflight == 0 && conn.pending_bytes() == 0 {
-                        self.close_conn(token);
-                    } else {
-                        self.update_interest(token);
-                    }
-                    return;
-                }
+    /// Write once what the socket takes, then close the connection if the
+    /// write failed or its stream is finished, else bring its epoll
+    /// registration in line with what the core wants.
+    fn settle(&mut self, token: u64) {
+        let Some((stream, core, registered)) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let mut failed = false;
+        if !core.unwritten().is_empty() {
+            match stream.write(core.unwritten()) {
+                Ok(0) => failed = true,
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    if !self.extract_lines(token) {
-                        return;
-                    }
-                    // Back-pressure may have paused this connection.
-                    let paused = self.conns.get(&token).is_some_and(|c| self.paused(c));
-                    if paused {
-                        self.update_interest(token);
-                        return;
-                    }
+                    let lines = core.wrote(n) as u64;
+                    self.counters.responses.fetch_add(lines, Ordering::Relaxed);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.update_interest(token);
-                    return;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
+                Err(e) if must_wait(&e) => {}
+                Err(_) => failed = true,
             }
         }
-    }
-
-    /// Split `rbuf` on newlines and dispatch each complete request.
-    /// Returns false when the connection was closed.
-    fn extract_lines(&mut self, token: u64) -> bool {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            match split_line(&mut conn.rbuf, self.cfg.max_line_bytes) {
-                Ok(Some(line)) => {
-                    self.dispatch(token, &line);
-                    if !self.conns.contains_key(&token) {
-                        return false;
-                    }
-                }
-                Ok(None) => return true,
-                Err(reply) => {
-                    // Framing is unrecoverable: answer, read no more, and
-                    // let `flush` close the connection once it is idle.
-                    conn.read_closed = true;
-                    conn.rbuf.clear();
-                    self.queue_line(token, reply);
-                    return false;
-                }
-            }
+        if failed || core.finished() {
+            return self.close_conn(token);
         }
-    }
-
-    /// Hand one request line to the frontend. `Some` replies are queued
-    /// inline; `None` means the frontend captured a [`Completer`] and
-    /// the reply will arrive through the completion queue — count it
-    /// in-flight for back-pressure. The in-flight bump *after* `handle`
-    /// returns is safe: completions are only drained by this same
-    /// thread's event loop, so the reply cannot be delivered before the
-    /// bump.
-    fn dispatch(&mut self, token: u64, line: &str) {
-        let ctx = FrontendContext {
-            token,
-            completions: &self.completions,
-            registry: &self.registry,
-        };
-        match self.frontend.handle(line, &ctx) {
-            Some(reply) => self.queue_line(token, reply),
-            None => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.inflight += 1;
-                }
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
-            }
+        let want = core.interest();
+        if want.paused {
+            self.counters.pauses.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// A reply (or one streamed frame of one) arrived from the worker
-    /// pool. Only a *final* completion releases the request's in-flight
-    /// slot; intermediate frames keep it held so a client streaming a
-    /// large sweep still counts against `max_inflight`.
-    fn deliver(&mut self, completion: Completion) {
-        let Some(conn) = self.conns.get_mut(&completion.token) else {
-            return; // connection closed while the request was in flight
-        };
-        if completion.last {
-            conn.inflight = conn.inflight.saturating_sub(1);
-        }
-        self.queue_line(completion.token, completion.line);
-        if let Some(conn) = self.conns.get(&completion.token) {
-            if conn.read_closed && conn.inflight == 0 && conn.pending_bytes() == 0 {
-                self.close_conn(completion.token);
+        let mask =
+            if want.read { sys::EPOLLIN } else { 0 } | if want.write { sys::EPOLLOUT } else { 0 };
+        if mask != *registered {
+            let fd = stream.as_raw_fd();
+            if sys::ctl(self.ep.0, sys::EPOLL_CTL_MOD, fd, mask, token).is_err() {
+                return self.close_conn(token);
             }
-        }
-    }
-
-    /// Append one response line to the connection's write buffer and try
-    /// to flush immediately (the common, uncongested case).
-    fn queue_line(&mut self, token: u64, line: String) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.wbuf.extend_from_slice(line.as_bytes());
-        conn.wbuf.push(b'\n');
-        self.flush(token);
-    }
-
-    /// Write as much buffered output as the socket accepts. Returns false
-    /// when the connection was closed.
-    fn flush(&mut self, token: u64) -> bool {
-        let mut close = false;
-        let mut written_lines = 0u64;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            while conn.wpos < conn.wbuf.len() {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        written_lines += count_newlines(&conn.wbuf[conn.wpos..conn.wpos + n]);
-                        conn.wpos += n;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                }
-            }
-            if conn.wpos == conn.wbuf.len() {
-                conn.wbuf.clear();
-                conn.wpos = 0;
-            } else if conn.wpos > (64 << 10) {
-                conn.wbuf.drain(..conn.wpos);
-                conn.wpos = 0;
-            }
-            if conn.read_closed && conn.inflight == 0 && conn.pending_bytes() == 0 {
-                close = true;
-            }
-        }
-        self.counters
-            .responses
-            .fetch_add(written_lines, Ordering::Relaxed);
-        if close {
-            self.close_conn(token);
-            return false;
-        }
-        self.update_interest(token);
-        true
-    }
-
-    /// Whether back-pressure should keep this connection's reads off.
-    fn paused(&self, conn: &Conn) -> bool {
-        conn.inflight >= self.cfg.max_inflight || conn.pending_bytes() >= self.cfg.write_high_water
-    }
-
-    /// Whether a previously-paused connection has drained enough to read
-    /// again (hysteresis at half the thresholds to avoid flapping).
-    fn resumable(&self, conn: &Conn) -> bool {
-        conn.inflight < self.cfg.max_inflight.div_ceil(2)
-            && conn.pending_bytes() < self.cfg.write_high_water / 2
-    }
-
-    /// Reconcile the epoll registration with the connection's state.
-    fn update_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get(&token) else {
-            return;
-        };
-        let reading = conn.interest & sys::EPOLLIN != 0;
-        let want_read = !conn.read_closed
-            && if reading {
-                !self.paused(conn)
-            } else {
-                self.resumable(conn)
-            };
-        let mut want = sys::EPOLLRDHUP;
-        if want_read {
-            want |= sys::EPOLLIN;
-        }
-        if conn.pending_bytes() > 0 {
-            want |= sys::EPOLLOUT;
-        }
-        if want != conn.interest {
-            // Count only genuine back-pressure pauses, not the EPOLLIN
-            // drop that naturally follows a client's FIN.
-            if reading && !want_read && !conn.read_closed {
-                self.counters.pauses.fetch_add(1, Ordering::Relaxed);
-            }
-            let fd = conn.stream.as_raw_fd();
-            if sys::ctl(self.ep.0, sys::EPOLL_CTL_MOD, fd, want, token).is_ok() {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.interest = want;
-                }
-            } else {
-                self.close_conn(token);
-            }
+            *registered = mask;
         }
     }
 
     fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = sys::ctl_del(self.ep.0, conn.stream.as_raw_fd());
+        if let Some((stream, _, _)) = self.conns.remove(&token) {
+            let _ = sys::ctl_del(self.ep.0, stream.as_raw_fd());
             self.counters.closed.fetch_add(1, Ordering::Relaxed);
             self.counters.active.fetch_sub(1, Ordering::Relaxed);
             // Dropping the TcpStream closes the socket.
@@ -1176,42 +1189,23 @@ impl Loop {
     }
 }
 
-fn count_newlines(bytes: &[u8]) -> u64 {
-    bytes.iter().filter(|&&b| b == b'\n').count() as u64
-}
-
-/// Split the next request line off the front of `buf` — the framing
-/// every transport shares. Blank lines are skipped and bytes decode
-/// lossily. `Ok(None)` means no complete line yet. `Err(reply)` means
-/// the next line is longer than `max_line_bytes`, however it was read:
-/// the framing is unrecoverable, so the caller writes `reply` and reads
-/// no more.
-fn split_line(buf: &mut Vec<u8>, max_line_bytes: usize) -> Result<Option<String>, String> {
-    loop {
-        let newline = buf.iter().position(|&b| b == b'\n');
-        if newline.unwrap_or(buf.len()) > max_line_bytes {
-            let error =
-                ServeError::InvalidRequest(format!("request line exceeds {max_line_bytes} bytes"));
-            return Err(protocol::render_result(&Err((None, error))));
-        }
-        let Some(nl) = newline else {
-            return Ok(None);
-        };
-        let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
-        buf.drain(..=nl);
-        if !line.trim().is_empty() {
-            return Ok(Some(line));
-        }
-    }
+/// Whether a non-blocking socket call just has to wait for the next
+/// readiness event.
+fn must_wait(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+    )
 }
 
 /// Serve a blocking line stream (the `serve` binary's stdio mode)
-/// through the same [`Frontend`] a reactor drives, one request at a
-/// time and in order: an inline reply is written at once, otherwise each
-/// streamed frame as it arrives, through the final line. Lines are
-/// framed as on a TCP connection, so a line over
+/// through the same [`Frontend`] and the same line-stream core a
+/// reactor connection uses, one request at a time and in order: an
+/// inline reply is written at once, otherwise each streamed frame as it
+/// arrives, through the final line. A line over
 /// [`ReactorConfig::max_line_bytes`] answers `invalid_request` and ends
-/// the session. `stats` reports `reactor_threads: 0`.
+/// the session; an unterminated last line is served. `stats` reports
+/// `reactor_threads: 0`.
 ///
 /// # Errors
 ///
@@ -1230,43 +1224,37 @@ pub fn serve_lines(
         completions: &completions,
         registry: &registry,
     };
-    let max_line_bytes = ReactorConfig::default().max_line_bytes;
+    let mut core = ConnCore::new(&ReactorConfig::default());
     let mut events = [sys::EpollEvent { events: 0, data: 0 }; 1];
-    let mut buf = Vec::new();
-    loop {
-        // One line per read, capped just past the limit so an over-long
-        // line is refused without buffering all of it.
-        let cap = (max_line_bytes + 2 - buf.len()) as u64;
-        if input.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
-            if buf.is_empty() {
-                return Ok(());
+    while !core.finished() {
+        let chunk = input.fill_buf()?;
+        let n = chunk.len();
+        core.feed(chunk);
+        input.consume(n);
+        while let Some(line) = core.next_line() {
+            let reply = match line {
+                Ok(line) => frontend.handle(&line, &ctx),
+                Err(refusal) => Some(refusal),
+            };
+            match reply {
+                Some(reply) => core.queue(&reply),
+                None => core.submitted(),
             }
-            buf.push(b'\n'); // serve an unterminated last line
-        }
-        let line = match split_line(&mut buf, max_line_bytes) {
-            Ok(Some(line)) => line,
-            Ok(None) => continue,
-            Err(reply) => {
-                writeln!(output, "{reply}")?;
-                return output.flush();
-            }
-        };
-        match frontend.handle(&line, &ctx) {
-            Some(reply) => writeln!(output, "{reply}")?,
-            None => loop {
-                let batch = completions.drain();
-                for c in &batch {
-                    writeln!(output, "{}", c.line)?;
-                }
-                if batch.iter().any(|c| c.last) {
+            loop {
+                output.write_all(core.unwritten())?;
+                core.wrote(core.unwritten().len());
+                output.flush()?;
+                if core.in_flight() == 0 {
                     break;
                 }
-                output.flush()?;
                 sys::wait(ep.0, &mut events, -1)?;
-            },
+                for c in completions.drain() {
+                    core.complete(&c.line, c.last);
+                }
+            }
         }
-        output.flush()?;
     }
+    Ok(())
 }
 
 /// The service behind the front door: predictions to the worker pool
@@ -2193,6 +2181,34 @@ mod tests {
         assert_shutdown_then_served(&stdio);
     }
 
+    /// A TCP request line cut short by the client's FIN is served, like
+    /// stdio's unterminated last line: exactly one reply, then EOF.
+    #[test]
+    fn unterminated_last_line_is_served_before_eof() {
+        let handle = ReactorPool::spawn(
+            Arc::new(DropStub),
+            "127.0.0.1:0",
+            ReactorConfig::default(),
+            1,
+        )
+        .expect("spawns");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+        let timeout = Some(std::time::Duration::from_secs(10));
+        stream.set_read_timeout(timeout).expect("sets a timeout");
+        stream
+            .write_all(br#"{"id":7,"verb":"echo"}"#)
+            .expect("writes");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-closes");
+        let mut reader = BufReader::new(stream);
+        assert_eq!(read_line(&mut reader), "{\"id\":7,\"ok\":true}\n");
+        assert_eq!(read_line(&mut reader), "", "EOF after the one reply");
+        wait_until(|| handle.stats().closed == 1);
+        assert_eq!(handle.stats().responses, 1);
+        handle.shutdown().expect("clean shutdown");
+    }
+
     /// Read one reply: a single line, or every frame of a sweep through
     /// its `end` frame.
     fn read_reply(reader: &mut impl BufRead) -> Vec<String> {
@@ -2336,6 +2352,235 @@ mod tests {
         );
         for (i, (t, s)) in tcp.iter().zip(&stdio).enumerate() {
             assert_eq!(normalize(t), normalize(s), "reply {i} differs by transport");
+        }
+    }
+
+    /// The lines a correct framer has yielded once fed `bytes` (and then
+    /// the end of the stream, if `eof`), and whether it refused a line
+    /// over `cap` bytes.
+    fn reference_lines(bytes: &[u8], eof: bool, cap: usize) -> (Vec<String>, bool) {
+        let mut lines = Vec::new();
+        let mut rest = bytes;
+        loop {
+            let newline = rest.iter().position(|&b| b == b'\n');
+            let end = newline.unwrap_or(rest.len());
+            if end > cap {
+                return (lines, true);
+            }
+            let line = String::from_utf8_lossy(&rest[..end]);
+            if (newline.is_some() || eof) && !line.trim().is_empty() {
+                lines.push(line.into_owned());
+            }
+            match newline {
+                Some(nl) => rest = &rest[nl + 1..],
+                None => return (lines, false),
+            }
+        }
+    }
+
+    /// Drives one [`ConnCore`] the way a transport does and checks it
+    /// after every step against reference models of framing, write order
+    /// and back-pressure.
+    struct CoreHarness {
+        core: ConnCore,
+        cfg: ReactorConfig,
+        input: Vec<u8>,
+        fed: usize,
+        eof: bool,
+        refused: bool,
+        yielded: Vec<String>,
+        /// Submitted requests: (request number, reply frames still due).
+        open: Vec<(usize, usize)>,
+        requests: usize,
+        /// Every byte queued so far, in queue order, and the lines.
+        queued: Vec<u8>,
+        lines_queued: usize,
+        out: Vec<u8>,
+        lines_written: usize,
+        reading: bool,
+    }
+
+    impl CoreHarness {
+        fn queue_model(&mut self, line: &str) {
+            self.queued.extend_from_slice(line.as_bytes());
+            self.queued.push(b'\n');
+            self.lines_queued += 1;
+        }
+
+        /// One read of up to `n` bytes (0 left: the end of the stream),
+        /// if the core wants to read, then every line dispatched.
+        fn read(&mut self, n: usize, close: bool) {
+            if !self.reading {
+                return;
+            }
+            if close || self.fed == self.input.len() {
+                self.core.feed(&[]);
+                self.eof = true;
+            } else {
+                let end = (self.fed + n).min(self.input.len());
+                self.core.feed(&self.input[self.fed..end]);
+                self.fed = end;
+            }
+            while let Some(line) = self.core.next_line() {
+                assert!(!self.refused, "a refusal ends reading");
+                let reply = match line {
+                    Ok(line) => {
+                        // Each 0xff byte decodes to one 3-byte U+FFFD.
+                        let raw = line.len() - 2 * line.matches('\u{fffd}').count();
+                        assert!(raw <= self.cfg.max_line_bytes, "over the cap: {line:?}");
+                        self.yielded.push(line.into_owned());
+                        self.requests += 1;
+                        let n = self.requests;
+                        if n.is_multiple_of(3) {
+                            Some(format!("inline {n}"))
+                        } else {
+                            self.open.push((n, 1 + n % 4));
+                            None
+                        }
+                    }
+                    Err(refusal) => {
+                        self.refused = true;
+                        Some(refusal)
+                    }
+                };
+                match reply {
+                    Some(reply) => {
+                        self.core.queue(&reply);
+                        self.queue_model(&reply);
+                    }
+                    None => self.core.submitted(),
+                }
+            }
+            let (lines, refused) =
+                reference_lines(&self.input[..self.fed], self.eof, self.cfg.max_line_bytes);
+            assert_eq!(self.yielded, lines);
+            assert_eq!(self.refused, refused);
+        }
+
+        /// One reply frame of the `pick`-th open request, in any order.
+        fn complete(&mut self, pick: usize) {
+            if self.open.is_empty() {
+                return;
+            }
+            let i = pick % self.open.len();
+            let (request, due) = self.open[i];
+            let line = format!("reply {request} frame {due}");
+            self.core.complete(&line, due == 1);
+            self.queue_model(&line);
+            if due == 1 {
+                self.open.swap_remove(i);
+            } else {
+                self.open[i].1 -= 1;
+            }
+        }
+
+        /// A write that stops after at most `n` bytes.
+        fn write(&mut self, n: usize) {
+            let unwritten = self.core.unwritten();
+            assert_eq!(unwritten, &self.queued[self.out.len()..]);
+            let n = n.min(unwritten.len());
+            self.out.extend_from_slice(&unwritten[..n]);
+            self.lines_written += self.core.wrote(n);
+            let newlines = self.out.iter().filter(|&&b| b == b'\n').count();
+            assert_eq!(self.lines_written, newlines);
+        }
+
+        fn check(&mut self) {
+            let pending = self.queued.len() - self.out.len();
+            let inflight = self.open.len();
+            let closed = self.eof || self.refused;
+            let (max_inflight, high_water) = (self.cfg.max_inflight, self.cfg.write_high_water);
+            let read = !closed
+                && if self.reading {
+                    inflight < max_inflight && pending < high_water
+                } else {
+                    inflight < max_inflight.div_ceil(2) && pending < high_water / 2
+                };
+            let want = Interest {
+                read,
+                write: pending > 0,
+                paused: self.reading && !read && !closed,
+            };
+            assert_eq!(self.core.interest(), want);
+            self.reading = read;
+            assert_eq!(self.core.in_flight(), inflight);
+            assert_eq!(
+                self.core.finished(),
+                closed && inflight == 0 && pending == 0
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Random read chunkings, partial writes, early peer closes and
+        /// completion orders (multi-frame replies included): the core
+        /// yields exactly the reference lines, writes exactly the queued
+        /// lines in order, pauses and resumes at the reference thresholds,
+        /// and finishes exactly when nothing is left to do.
+        #[test]
+        fn conn_core_matches_reference_models(
+            cap in 1usize..40,
+            high_water in 2usize..80,
+            max_inflight in 1usize..6,
+            input in proptest::collection::vec(0u8..8, 0..300),
+            ops in proptest::collection::vec((0u8..7, 1usize..64), 0..160),
+        ) {
+            let cfg = ReactorConfig {
+                max_line_bytes: cap,
+                write_high_water: high_water,
+                max_inflight,
+                ..ReactorConfig::default()
+            };
+            let input = input
+                .into_iter()
+                .map(|b| match b {
+                    0 => b'\n',
+                    1 => b' ',
+                    2 => b'\r',
+                    3 => 0xff,
+                    b => b'a' + b,
+                })
+                .collect();
+            let mut h = CoreHarness {
+                core: ConnCore::new(&cfg),
+                cfg,
+                input,
+                fed: 0,
+                eof: false,
+                refused: false,
+                yielded: Vec::new(),
+                open: Vec::new(),
+                requests: 0,
+                queued: Vec::new(),
+                lines_queued: 0,
+                out: Vec::new(),
+                lines_written: 0,
+                reading: true,
+            };
+            for (op, n) in ops {
+                match op {
+                    0 | 1 => h.read(n, false),
+                    2 | 3 => h.complete(n),
+                    4 | 5 => h.write(n),
+                    _ => h.read(n, n < 4),
+                }
+                h.check();
+            }
+            // Drain: answer and write everything, reading on to the end.
+            let mut steps = 0;
+            while !h.core.finished() {
+                steps += 1;
+                assert!(steps < 10_000, "the stream never finished");
+                while !h.open.is_empty() {
+                    h.complete(0);
+                }
+                h.write(usize::MAX);
+                h.check();
+                h.read(64, false);
+                h.check();
+            }
+            assert_eq!(&h.out, &h.queued);
+            assert_eq!(h.lines_written, h.lines_queued);
         }
     }
 

@@ -27,7 +27,7 @@
 //! restored on the way back, so concurrent clients can reuse ids freely.
 
 use std::collections::HashMap;
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,7 +40,7 @@ use crate::error::ServeError;
 use crate::protocol::{
     self, PredictRequest, RequestLine, ShardInfo, ShardMapResponse, StatsResponse,
 };
-use crate::reactor::{Completer, Frontend, FrontendContext};
+use crate::reactor::{Completer, ConnCore, Frontend, FrontendContext, ReactorConfig};
 use crate::service::fnv1a;
 
 /// Virtual nodes per shard when the caller does not pick a count. 128
@@ -287,48 +287,29 @@ impl Backend {
     }
 
     /// Resolve backend replies to their waiting clients until the
-    /// connection dies, then fail everything still pending on it.
+    /// connection dies or sends a line over the client line cap (replies
+    /// frame through the same [`ConnCore`] as requests, so a broken shard
+    /// cannot grow the proxy's memory), then fail all still pending.
     fn reader_loop(
         self: Arc<Backend>,
-        stream: TcpStream,
+        mut stream: TcpStream,
         pending: &Arc<Mutex<HashMap<u64, Completer>>>,
     ) {
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
+        let mut core = ConnCore::new(&ReactorConfig::default());
+        let mut chunk = [0u8; 8192];
+        let mut why = "disconnected mid-request";
+        while !core.finished() {
+            match stream.read(&mut chunk) {
+                Ok(n) => core.feed(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
             }
-            let text = line.trim();
-            if text.is_empty() {
-                continue;
-            }
-            let Ok(value) = serde_json::from_str::<Value>(text) else {
-                // An unparsable line cannot be matched to a request; the
-                // disconnect path below will fail whatever was pending.
-                continue;
-            };
-            let Some(internal) = reply_id(&value) else {
-                continue;
-            };
-            // Streamed replies (sweep frames) keep their pending entry
-            // alive until the final `end` frame — or a frameless line,
-            // which is a single-shot reply (predict, error). Peeking
-            // instead of removing is what lets one request map to many
-            // reply lines without re-registering.
-            if frame_of(&value).is_some_and(|frame| frame != "end") {
-                let map = pending.lock().expect("pending lock");
-                if let Some(completer) = map.get(&internal) {
-                    completer.stream(restore_id(value, completer.id()));
+            while let Some(line) = core.next_line() {
+                match line {
+                    Ok(line) => resolve(&line, pending),
+                    Err(_) => why = "sent an over-long reply line",
                 }
-                continue;
             }
-            let Some(completer) = pending.lock().expect("pending lock").remove(&internal) else {
-                continue;
-            };
-            completer.complete(restore_id(value, completer.id()));
         }
         // Detach this connection (unless a reconnect already replaced
         // it), then fail its in-flight requests. A send racing this
@@ -343,16 +324,39 @@ impl Backend {
                 *guard = None;
             }
         }
-        let drained: Vec<Completer> = {
-            let mut map = pending.lock().expect("pending lock");
-            map.drain().map(|(_, completer)| completer).collect()
-        };
-        for completer in drained {
+        let drained = std::mem::take(&mut *pending.lock().expect("pending lock"));
+        for completer in drained.into_values() {
             completer.fail(ServeError::Unavailable(format!(
-                "shard {} at {} disconnected mid-request",
+                "shard {} at {} {why}",
                 self.info.id, self.info.addr
             )));
         }
+    }
+}
+
+/// Hand one backend reply line to the client waiting for it.
+fn resolve(line: &str, pending: &Mutex<HashMap<u64, Completer>>) {
+    // An unparsable or id-less line cannot be matched to a request; the
+    // disconnect path will fail whatever was pending.
+    let Ok(value) = serde_json::from_str::<Value>(line.trim()) else {
+        return;
+    };
+    let Some(internal) = reply_id(&value) else {
+        return;
+    };
+    // Streamed replies (sweep frames) keep their pending entry alive
+    // until the final `end` frame — or a frameless line, which is a
+    // single-shot reply (predict, error). Peeking instead of removing is
+    // what lets one request map to many reply lines without
+    // re-registering.
+    let mut map = pending.lock().expect("pending lock");
+    if frame_of(&value).is_some_and(|frame| frame != "end") {
+        if let Some(completer) = map.get(&internal) {
+            completer.stream(restore_id(value, completer.id()));
+        }
+    } else if let Some(completer) = map.remove(&internal) {
+        drop(map);
+        completer.complete(restore_id(value, completer.id()));
     }
 }
 

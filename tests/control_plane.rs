@@ -2,7 +2,7 @@
 //! traffic, per-model quota protection against cold storms, and
 //! workload-library persistence across service restarts.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,12 +70,15 @@ fn predict_during_reload_churn_completes_or_errors_cleanly() {
         .expect("pre-warm");
 
     let stop = AtomicBool::new(false);
+    // Completed churn rounds, published so the main thread stops the
+    // churner only after it has cycled at least once.
+    let completed = AtomicU64::new(0);
     let (churn_rounds, hits, misses) = std::thread::scope(|scope| {
         // Churn: load and unload the `hot` model as fast as possible.
         let churner = {
             let service = Arc::clone(&service);
             let path = path.clone();
-            let stop = &stop;
+            let (stop, completed) = (&stop, &completed);
             scope.spawn(move || {
                 let mut rounds = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -86,6 +89,7 @@ fn predict_during_reload_churn_completes_or_errors_cleanly() {
                         .unload_model("hot")
                         .expect("strictly alternating unload cannot miss");
                     rounds += 1;
+                    completed.store(rounds, Ordering::Release);
                 }
                 rounds
             })
@@ -135,6 +139,9 @@ fn predict_during_reload_churn_completes_or_errors_cleanly() {
             .map(|h| h.join().expect("racer"))
             .fold((0, 0), |(h, m), (hh, mm)| (h + hh, m + mm));
         stable.join().expect("stable traffic");
+        while completed.load(Ordering::Acquire) == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         stop.store(true, Ordering::Relaxed);
         (churner.join().expect("churner"), totals.0, totals.1)
     });

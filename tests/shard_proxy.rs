@@ -255,3 +255,67 @@ fn dead_shard_requests_are_answered_exactly_once() {
     front.shutdown().expect("proxy shutdown");
     live.shutdown().expect("shard shutdown");
 }
+
+/// A shard that answers every forwarded request with 2 MiB and no
+/// newline gets the line-cap treatment a client would: each pending
+/// request is answered with exactly one `unavailable` line and the
+/// backend connection is dropped, so the proxy's memory stays bounded
+/// and the next request is answered too (here by a fresh connection that
+/// fails the same way).
+#[test]
+fn endless_backend_line_is_refused_like_a_disconnect() {
+    use std::io::Read;
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let stub = std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let conn = conn.expect("accepts");
+            let mut reader = BufReader::new(conn.try_clone().expect("clones"));
+            let mut request = String::new();
+            if reader.read_line(&mut request).unwrap_or(0) == 0 {
+                return; // the test's own empty connection: stop
+            }
+            let mut writer = conn;
+            // The proxy hangs up part-way through; its refusal, not this
+            // write, ends the exchange.
+            let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+            let _ = reader.read_to_end(&mut Vec::new());
+        }
+    });
+    let shards = vec![ShardInfo {
+        id: 0,
+        addr: addr.clone(),
+        vnodes: 1,
+    }];
+    let front = ReactorPool::spawn(
+        Arc::new(ShardProxy::new(shards).expect("proxy")),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        1,
+    )
+    .expect("spawns");
+    let mut stream = TcpStream::connect(front.addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("sets a timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+    for id in [1, 2] {
+        let reply = ask(
+            &mut stream,
+            &mut reader,
+            &format!(r#"{{"id":{id},"design":"C2","workload":"W1","cycles":6}}"#),
+        );
+        assert!(reply.contains(r#""kind":"unavailable""#), "got: {reply}");
+        assert!(reply.contains(&format!(r#""id":{id},"#)), "got: {reply}");
+    }
+    // Nothing else was queued for either request: the next line on the
+    // connection answers the next request.
+    let stats = ask(&mut stream, &mut reader, r#"{"id":3,"verb":"stats"}"#);
+    assert!(stats.contains(r#""verb":"stats""#), "got: {stats}");
+    assert!(stats.contains(r#""id":3,"#), "got: {stats}");
+    front.shutdown().expect("proxy shutdown");
+    drop(TcpStream::connect(&addr).expect("connects to the stub"));
+    stub.join().expect("stub shard");
+}
