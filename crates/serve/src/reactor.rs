@@ -558,7 +558,7 @@ const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// What a [`ConnCore`] wants from its transport next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Interest {
     /// Read more bytes.
     pub read: bool,
@@ -659,6 +659,26 @@ impl ConnCore {
                 return Some(Ok(line));
             }
         }
+    }
+
+    /// Hand the next complete line to `frontend`. An inline reply, or the
+    /// refusal of an over-long line, is queued; a request the frontend
+    /// keeps is counted in flight. Returns whether it went in flight, or
+    /// `None` when no complete line is buffered.
+    pub(crate) fn dispatch_next(
+        &mut self,
+        frontend: &dyn Frontend,
+        ctx: &FrontendContext<'_>,
+    ) -> Option<bool> {
+        let reply = match self.next_line()? {
+            Ok(line) => frontend.handle(&line, ctx),
+            Err(refusal) => Some(refusal),
+        };
+        match &reply {
+            Some(reply) => self.queue(reply),
+            None => self.submitted(),
+        }
+        Some(reply.is_none())
     }
 
     /// Queue one reply line (the newline is added here).
@@ -1125,17 +1145,9 @@ impl Loop {
                 completions: &self.completions,
                 registry: &self.registry,
             };
-            while let Some(line) = core.next_line() {
-                let reply = match line {
-                    Ok(line) => self.frontend.handle(&line, &ctx),
-                    Err(refusal) => Some(refusal),
-                };
-                match reply {
-                    Some(reply) => core.queue(&reply),
-                    None => {
-                        core.submitted();
-                        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                    }
+            while let Some(submitted) = core.dispatch_next(&*self.frontend, &ctx) {
+                if submitted {
+                    self.counters.requests.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -1231,15 +1243,7 @@ pub fn serve_lines(
         let n = chunk.len();
         core.feed(chunk);
         input.consume(n);
-        while let Some(line) = core.next_line() {
-            let reply = match line {
-                Ok(line) => frontend.handle(&line, &ctx),
-                Err(refusal) => Some(refusal),
-            };
-            match reply {
-                Some(reply) => core.queue(&reply),
-                None => core.submitted(),
-            }
+        while core.dispatch_next(frontend, &ctx).is_some() {
             loop {
                 output.write_all(core.unwritten())?;
                 core.wrote(core.unwritten().len());
