@@ -570,9 +570,9 @@ pub(crate) struct Interest {
 
 /// One line stream with no file descriptor in it: the framing, buffers,
 /// in-flight count and back-pressure every transport shares. A reactor
-/// connection, the stdio session and a proxy backend's reply stream all
-/// feed it the bytes they read, take request lines out, and write out
-/// the reply bytes it queues, so they frame, cap and count alike.
+/// connection and the stdio session feed it what they read, dispatch
+/// its lines and write out the replies it queues; a proxy backend's
+/// reader frames shard replies through it. So all frame and cap alike.
 pub(crate) struct ConnCore {
     /// Line cap and back-pressure thresholds (`max_connections` unused).
     cfg: ReactorConfig,
