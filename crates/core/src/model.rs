@@ -496,9 +496,8 @@ fn ranged_items(
 
 /// Compute the rows of every [`ranged_items`] item — `work(sm, start,
 /// len)` returns one row per unit — with the items packed into
-/// [`lpt_bins`] by node work, each bin on a scoped thread (on the calling
-/// thread when only one bin has work), and scatter them so
-/// `out[sm][start + k]` is row `k` of its item.
+/// [`lpt_bins`] by node work, each non-empty bin on a scoped thread, and
+/// scatter them so `out[sm][start + k]` is row `k` of its item.
 fn fan_out<T: Send + Default + Clone>(
     data: &[SubmoduleData],
     totals: &[usize],
@@ -518,26 +517,19 @@ fn fan_out<T: Send + Default + Clone>(
             })
             .collect()
     };
-    let mut bins: Vec<Vec<usize>> = lpt_bins(&weights, threads)
-        .into_iter()
-        .filter(|bin| !bin.is_empty())
-        .collect();
-    let done = if bins.len() <= 1 {
-        bins.pop().map(run).unwrap_or_default()
-    } else {
-        crossbeam::thread::scope(|scope| {
-            let run = &run;
-            let handles: Vec<_> = bins
-                .into_iter()
-                .map(|bin| scope.spawn(move |_| run(bin)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-        .expect("scoped threads join")
-    };
+    let done: Vec<(usize, usize, Vec<T>)> = crossbeam::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = lpt_bins(&weights, threads)
+            .into_iter()
+            .filter(|bin| !bin.is_empty())
+            .map(|bin| scope.spawn(move |_| run(bin)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
+    .expect("scoped threads join");
     let mut out: Vec<Vec<T>> = totals.iter().map(|&n| vec![T::default(); n]).collect();
     for (sm, start, rows) in done {
         for (off, row) in rows.into_iter().enumerate() {

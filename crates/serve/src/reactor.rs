@@ -1239,7 +1239,10 @@ pub fn serve_lines(
     let mut core = ConnCore::new(&ReactorConfig::default());
     let mut events = [sys::EpollEvent { events: 0, data: 0 }; 1];
     while !core.finished() {
-        let chunk = input.fill_buf()?;
+        let chunk = match input.fill_buf() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            chunk => chunk?,
+        };
         let n = chunk.len();
         core.feed(chunk);
         input.consume(n);

@@ -139,7 +139,7 @@ fn predict_during_reload_churn_completes_or_errors_cleanly() {
             .map(|h| h.join().expect("racer"))
             .fold((0, 0), |(h, m), (hh, mm)| (h + hh, m + mm));
         stable.join().expect("stable traffic");
-        while completed.load(Ordering::Acquire) == 0 {
+        while completed.load(Ordering::Acquire) == 0 && !churner.is_finished() {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         stop.store(true, Ordering::Relaxed);
