@@ -13,8 +13,9 @@
 //! addressed to the shard's own port and get a structured error here.
 //!
 //! The proxy reuses the exact same epoll reactor (and `--reactor-threads`
-//! pool) as `serve` itself; backend connections are established lazily
-//! and re-established after a shard restart.
+//! pool) as `serve` itself, and runs on `--reactor-threads` + 1 threads:
+//! each reactor dials each shard (resolved once, at startup) on first use
+//! and re-dials after a shard restart.
 
 use std::process::ExitCode;
 use std::sync::Arc;

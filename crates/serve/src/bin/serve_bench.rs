@@ -6,7 +6,7 @@
 //! ```text
 //! serve_bench [--out PATH] [--scale F] [--train-cycles N] [--cycles N]
 //!             [--clients N] [--repeat N] [--idle-conns N] [--dup-clients N]
-//!             [--embed-threads N] [--storm-clients N]
+//!             [--storm-clients N]
 //! ```
 //!
 //! The bench trains a small model, starts an in-process service, then
@@ -83,7 +83,6 @@ struct Args {
     repeat: usize,
     idle_conns: usize,
     dup_clients: usize,
-    embed_threads: usize,
     storm_clients: usize,
 }
 
@@ -97,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
         repeat: 8,
         idle_conns: 512,
         dup_clients: 8,
-        embed_threads: 1,
         storm_clients: 6,
     };
     let mut it = std::env::args().skip(1);
@@ -121,11 +119,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--dup-clients" => {
                 args.dup_clients = value("--dup-clients")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-            }
-            "--embed-threads" => {
-                args.embed_threads = value("--embed-threads")?
                     .parse()
                     .map_err(|e| format!("{e}"))?;
             }
@@ -335,8 +328,6 @@ struct BenchReport {
     scale: f64,
     cycles: usize,
     clients: usize,
-    /// Threads each worker uses inside `embed_trace` for a cold request.
-    embed_threads: usize,
     train_s: f64,
     /// Fresh-service cold passes pooled into `cold`.
     cold_trials: usize,
@@ -1546,7 +1537,6 @@ fn main() -> ExitCode {
             cfg.clone(),
             ServiceConfig {
                 workers: args.clients.max(args.dup_clients).max(1),
-                embed_threads: args.embed_threads,
                 ..ServiceConfig::default()
             },
         )
@@ -1780,7 +1770,6 @@ fn main() -> ExitCode {
         scale: args.scale,
         cycles: args.cycles,
         clients: args.clients,
-        embed_threads: args.embed_threads,
         train_s,
         cold_trials: COLD_TRIALS,
         cold_over_warm_speedup: cold.mean_ms / warm.mean_ms.max(1e-9),

@@ -30,7 +30,7 @@
 use atlas_liberty::PowerGroup;
 use atlas_power::PowerTrace;
 use atlas_sim::WorkloadPhase;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::CacheStats;
 use crate::error::ServeError;
@@ -947,11 +947,6 @@ pub fn render_line<T: Serialize>(response: &T) -> String {
         .unwrap_or_else(|e| format!(r#"{{"error":"render failure: {e}","kind":"internal"}}"#))
 }
 
-/// Render one `stats` response line (no trailing newline).
-pub fn render_stats(response: &StatsResponse) -> String {
-    render_line(response)
-}
-
 /// Render one response line (no trailing newline).
 pub fn render_result(result: &Result<PredictResponse, (Option<u64>, ServeError)>) -> String {
     render_reply(result)
@@ -968,6 +963,48 @@ pub(crate) fn render_reply<T: Serialize>(result: &Result<T, (Option<u64>, ServeE
         }),
     };
     rendered.unwrap_or_else(|e| format!(r#"{{"error":"render failure: {e}","kind":"internal"}}"#))
+}
+
+/// Re-render a request line with `id` as its id: how the shard proxy
+/// tags a request with its own internal id on the way to a shard. `None`
+/// unless the line is a JSON object.
+pub fn rewrite_id(line: &str, id: u64) -> Option<String> {
+    let value: Value = serde_json::from_str(line.trim()).ok()?;
+    value.as_map().is_some().then(|| with_id(value, Some(id)))
+}
+
+/// A shard's reply line as the shard proxy relays it: its JSON, the
+/// proxy-internal id it carries, and whether it ends its request (it is
+/// anything but an intermediate frame: a `frame` other than `end`).
+pub fn parse_relayed(line: &str) -> Option<(Value, u64, bool)> {
+    let value: Value = serde_json::from_str(line.trim()).ok()?;
+    let field = |name: &str| {
+        value
+            .as_map()?
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
+    };
+    let id = match field("id")? {
+        Value::UInt(n) => *n,
+        Value::Int(n) if *n >= 0 => *n as u64,
+        _ => return None,
+    };
+    let last = !matches!(field("frame"), Some(Value::Str(frame)) if frame != "end");
+    Some((value, id, last))
+}
+
+/// Render `value` with `id` (`null` for none) as the `id` of an object,
+/// inserted first when absent.
+pub fn with_id(mut value: Value, id: Option<u64>) -> String {
+    if let Value::Map(entries) = &mut value {
+        let id = id.map_or(Value::Null, Value::UInt);
+        match entries.iter_mut().find(|(k, _)| k == "id") {
+            Some(slot) => slot.1 = id,
+            None => entries.insert(0, ("id".to_owned(), id)),
+        }
+    }
+    render_line(&value)
 }
 
 #[cfg(test)]
@@ -1325,7 +1362,7 @@ mod tests {
         assert_eq!(resp.models[0].quota, 4);
         assert_eq!(resp.models[0].queued, 9);
         assert_eq!(resp.models[0].rejected_quota, 1);
-        let line = render_stats(&resp);
+        let line = render_line(&resp);
         let back: StatsResponse = serde_json::from_str(&line).expect("parses");
         assert_eq!(back, resp);
     }
@@ -1491,5 +1528,30 @@ mod tests {
         assert_eq!(err.id, Some(3));
         assert_eq!(err.kind, "unknown_design");
         assert!(err.error.contains("C9"));
+    }
+
+    #[test]
+    fn reply_ids_are_restored() {
+        let line = r#"{"id":4294967297,"verb":"predict","cycles":8}"#;
+        let (reply, id, last) = parse_relayed(line).expect("parses");
+        assert_eq!((id, last), (4294967297, true));
+        let restored = parse_relayed(&with_id(reply, Some(7))).expect("round-trips");
+        assert_eq!(restored.1, 7);
+        // A client that sent no id gets `null` back, like talking to a
+        // shard directly.
+        let (reply, ..) = parse_relayed(r#"{"id":99,"verb":"stats"}"#).expect("parses");
+        let restored = with_id(reply, None);
+        assert!(restored.contains(r#""id":null"#), "got: {restored}");
+        // Only a sweep's `end` frame ends a streamed reply.
+        for (frame, last) in [("start", false), ("series", false), ("end", true)] {
+            let line = format!(r#"{{"id":5,"verb":"sweep","frame":"{frame}"}}"#);
+            assert_eq!(parse_relayed(&line).expect("parses").2, last);
+        }
+        // The way out: the internal id replaces the client's, or leads.
+        let tagged = rewrite_id(r#"{"id":3,"verb":"stats"}"#, 9).expect("an object");
+        assert_eq!(tagged, r#"{"id":9,"verb":"stats"}"#);
+        let tagged = rewrite_id(r#"{"verb":"stats"}"#, 9).expect("an object");
+        assert_eq!(tagged, r#"{"id":9,"verb":"stats"}"#);
+        assert_eq!(rewrite_id("[1]", 9), None);
     }
 }

@@ -41,6 +41,15 @@
 //! `worker_count + reactors + 1` (workers + N reactors + main),
 //! independent of connection count.
 //!
+//! # Upstream connections
+//!
+//! A relaying frontend (the shard proxy) names its servers in
+//! [`Frontend::upstreams`] and hands requests to them through
+//! [`FrontendContext::forward`]. Each reactor keeps its own non-blocking
+//! connection to each upstream in its connection table, so relaying adds
+//! no thread or lock, and no upstream can block a reactor (see
+//! [`CONNECT_TIMEOUT`], [`RECONNECT_COOLDOWN`]).
+//!
 //! The `stats` protocol verb is answered inline on the reactor thread —
 //! it is a counter snapshot and never needs a worker.
 //!
@@ -55,7 +64,7 @@
 //! the back-pressure hysteresis. A reactor connection is a socket, a
 //! core and its registered epoll mask. The `serve` binary's stdio mode,
 //! [`serve_lines`], feeds a core from a blocking reader with no reactor
-//! thread, and the shard proxy reads each backend's replies through one.
+//! thread, and each upstream connection frames its replies through one.
 //! So every verb has one implementation, and every stream one framing,
 //! whichever transport carries it.
 //!
@@ -64,13 +73,15 @@
 //! The build environment has no registry access (see `vendor/`), so
 //! instead of `mio`/`tokio` the private `sys` module declares the libc
 //! symbols the loop needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `eventfd`, `socket`, `setsockopt`, `bind`, `listen`, `close`)
+//! `eventfd`, `socket`, `setsockopt`, `bind`, `listen`, `connect`,
+//! `close`)
 //! directly — std already links libc on Linux. This is the same
 //! vendoring policy as the serde/rand shims: the exact API subset the
 //! workspace uses, swappable for the real crates when a registry is
 //! available.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -78,6 +89,7 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 use crate::protocol::{self, ErrorResponse, RequestLine};
@@ -202,15 +214,18 @@ mod sys {
         }
     }
 
-    // ---- raw IPv4 listener sockets (SO_REUSEPORT) ----
+    // ---- raw sockets: SO_REUSEPORT listeners, non-blocking dials ----
 
     pub const AF_INET: u16 = 2;
+    pub const AF_INET6: u16 = 10;
     pub const SOCK_STREAM: i32 = 1;
     pub const SOCK_CLOEXEC: i32 = 0o2000000;
     pub const SOCK_NONBLOCK: i32 = 0o4000;
     pub const SOL_SOCKET: i32 = 1;
     pub const SO_REUSEADDR: i32 = 2;
     pub const SO_REUSEPORT: i32 = 15;
+    /// Linux errno: a non-blocking connect is under way.
+    pub const EINPROGRESS: i32 = 115;
 
     /// Mirror of `struct sockaddr_in` (Linux). Port and address are in
     /// network byte order.
@@ -222,10 +237,22 @@ mod sys {
         pub sin_zero: [u8; 8],
     }
 
+    /// Mirror of `struct sockaddr_in6` (Linux). Port and flow info are in
+    /// network byte order.
+    #[repr(C)]
+    pub struct SockAddrIn6 {
+        pub sin6_family: u16,
+        pub sin6_port: u16,
+        pub sin6_flowinfo: u32,
+        pub sin6_addr: [u8; 16],
+        pub sin6_scope_id: u32,
+    }
+
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
         fn listen(fd: i32, backlog: i32) -> i32;
+        fn connect(fd: i32, addr: *const core::ffi::c_void, len: u32) -> i32;
         fn setsockopt(
             fd: i32,
             level: i32,
@@ -235,23 +262,49 @@ mod sys {
         ) -> i32;
     }
 
-    /// Create a non-blocking IPv4 listener bound with `SO_REUSEPORT`
-    /// (plus `SO_REUSEADDR`, matching std). Fails if the platform
-    /// refuses the option — the caller falls back to a shared accept
-    /// queue.
-    pub fn reuseport_listener(addr: std::net::SocketAddrV4) -> io::Result<std::net::TcpListener> {
-        use std::os::unix::io::FromRawFd;
+    fn sockaddr_in(addr: std::net::SocketAddrV4) -> SockAddrIn {
+        SockAddrIn {
+            sin_family: AF_INET,
+            sin_port: addr.port().to_be(),
+            sin_addr: u32::from_be_bytes(addr.ip().octets()).to_be(),
+            sin_zero: [0; 8],
+        }
+    }
 
+    /// A fresh non-blocking, close-on-exec TCP socket of `family`.
+    fn tcp_socket(family: u16) -> io::Result<OwnedFd> {
         // SAFETY: no pointers involved; constants are valid.
-        let fd = unsafe {
+        unsafe {
             cvt(socket(
-                AF_INET as i32,
+                family as i32,
                 SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
                 0,
-            ))?
-        };
-        // Own the fd so every early return below closes it.
-        let owned = OwnedFd(fd);
+            ))
+            .map(OwnedFd)
+        }
+    }
+
+    impl OwnedFd {
+        /// Give up ownership: the caller closes the descriptor.
+        fn into_raw(self) -> i32 {
+            let fd = self.0;
+            core::mem::forget(self);
+            fd
+        }
+    }
+
+    /// Create a non-blocking IPv4 listener bound with `SO_REUSEPORT`
+    /// (plus `SO_REUSEADDR`, matching std) and an accept queue of
+    /// `backlog`. Fails if the platform refuses the option — the caller
+    /// falls back to a shared accept queue.
+    pub fn reuseport_listener(
+        addr: std::net::SocketAddrV4,
+        backlog: i32,
+    ) -> io::Result<std::net::TcpListener> {
+        use std::os::unix::io::FromRawFd;
+
+        // Owned, so every early return below closes it.
+        let owned = tcp_socket(AF_INET)?;
         let one: i32 = 1;
         for opt in [SO_REUSEADDR, SO_REUSEPORT] {
             // SAFETY: `one` outlives the call; the kernel copies 4 bytes.
@@ -265,12 +318,7 @@ mod sys {
                 ))?;
             }
         }
-        let sa = SockAddrIn {
-            sin_family: AF_INET,
-            sin_port: addr.port().to_be(),
-            sin_addr: u32::from_be_bytes(addr.ip().octets()).to_be(),
-            sin_zero: [0; 8],
-        };
+        let sa = sockaddr_in(addr);
         // SAFETY: `sa` outlives the call; the length matches the struct.
         unsafe {
             cvt(bind(
@@ -278,12 +326,56 @@ mod sys {
                 &sa,
                 core::mem::size_of::<SockAddrIn>() as u32,
             ))?;
-            cvt(listen(owned.0, 1024))?;
+            cvt(listen(owned.0, backlog))?;
         }
-        let fd = owned.0;
-        core::mem::forget(owned);
         // SAFETY: the fd is a fresh, owned listening socket.
-        Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
+        Ok(unsafe { std::net::TcpListener::from_raw_fd(owned.into_raw()) })
+    }
+
+    /// Start a non-blocking TCP connect to `addr` (IPv4 or IPv6). The
+    /// stream comes back before the handshake ends: writability then
+    /// reports the outcome, and `SO_ERROR` ([`std::net::TcpStream::take_error`])
+    /// a failure.
+    pub fn connect_nonblocking(addr: std::net::SocketAddr) -> io::Result<std::net::TcpStream> {
+        use std::net::SocketAddr;
+        use std::os::unix::io::FromRawFd;
+
+        let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+        let owned = tcp_socket(family)?;
+        // SAFETY: each address struct outlives its call; the lengths
+        // match the structs.
+        let ret = match addr {
+            SocketAddr::V4(v4) => unsafe {
+                let sa = sockaddr_in(v4);
+                connect(
+                    owned.0,
+                    (&sa as *const SockAddrIn).cast(),
+                    core::mem::size_of::<SockAddrIn>() as u32,
+                )
+            },
+            SocketAddr::V6(v6) => unsafe {
+                let sa = SockAddrIn6 {
+                    sin6_family: AF_INET6,
+                    sin6_port: v6.port().to_be(),
+                    sin6_flowinfo: v6.flowinfo().to_be(),
+                    sin6_addr: v6.ip().octets(),
+                    sin6_scope_id: v6.scope_id(),
+                };
+                connect(
+                    owned.0,
+                    (&sa as *const SockAddrIn6).cast(),
+                    core::mem::size_of::<SockAddrIn6>() as u32,
+                )
+            },
+        };
+        if ret < 0 {
+            let err = io::Error::last_os_error();
+            if err.raw_os_error() != Some(EINPROGRESS) {
+                return Err(err);
+            }
+        }
+        // SAFETY: the fd is a fresh, owned socket.
+        Ok(unsafe { std::net::TcpStream::from_raw_fd(owned.into_raw()) })
     }
 }
 
@@ -414,9 +506,9 @@ impl Completions {
 }
 
 /// An owned ticket for answering one request asynchronously. Captured
-/// by [`Frontend::handle`] when the reply will come from another thread
-/// (a worker, a proxy backend reader); completing it queues the line
-/// and wakes the reactor that owns the connection.
+/// by [`Frontend::handle`] when the reply will come later (from a worker,
+/// or from an upstream); completing it queues the line and wakes the
+/// reactor that owns the connection.
 ///
 /// Every completer answers exactly once: one dropped without its final
 /// line (a worker that died, a job discarded at shutdown) answers a
@@ -469,52 +561,39 @@ impl Drop for Completer {
     }
 }
 
-/// Build a completer detached from any reactor, for crate-internal
-/// tests that need a [`Completer`] to satisfy an API (its lines land in
-/// a private queue nobody drains).
-#[cfg(test)]
-pub(crate) fn test_completer() -> Completer {
-    Completer {
-        token: 0,
-        id: None,
-        completions: Arc::new(Completions::new().expect("eventfd")),
-        answered: AtomicBool::new(false),
-    }
+/// The counters of every reactor serving one address, in reactor order,
+/// shared so the `stats` verb can report per-reactor accept and
+/// back-pressure skew from any reactor thread.
+type Registry = Arc<[Arc<Counters>]>;
+
+fn snapshot(registry: &[Arc<Counters>]) -> Vec<ReactorStats> {
+    registry.iter().map(|c| c.snapshot()).collect()
 }
 
-/// The counters of every reactor serving one address, shared so the
-/// `stats` verb can report per-reactor accept and back-pressure skew
-/// from any reactor thread.
-#[derive(Clone)]
-pub struct ReactorRegistry {
-    counters: Arc<Vec<Arc<Counters>>>,
-}
+/// How long a dial to an upstream may take before the requests waiting
+/// on it fail with `unavailable`.
+pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl ReactorRegistry {
-    fn new(counters: Vec<Arc<Counters>>) -> ReactorRegistry {
-        ReactorRegistry {
-            counters: Arc::new(counters),
-        }
-    }
+/// How long an upstream whose dial failed stays "down" before the next
+/// request may dial it again. Without it, every request routed to a dead
+/// upstream pays its own dial — a reconnect storm that peaks exactly when
+/// the fleet is already degraded.
+pub const RECONNECT_COOLDOWN: Duration = Duration::from_millis(500);
 
-    /// Number of reactor threads serving this address.
-    pub fn threads(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Per-reactor counter snapshots, in reactor order.
-    pub fn snapshot(&self) -> Vec<ReactorStats> {
-        self.counters.iter().map(|c| c.snapshot()).collect()
-    }
-}
+/// What a frontend forwards: (upstream, id, completer, line).
+type Forward = (usize, u64, Completer, String);
 
 /// The per-request view a reactor hands to its [`Frontend`]: enough to
-/// reply later ([`FrontendContext::completer`]) and to report the I/O
+/// reply later ([`FrontendContext::completer`]), to forward the request
+/// to an upstream ([`FrontendContext::forward`]) and to report the I/O
 /// plane's shape in `stats` replies.
 pub struct FrontendContext<'a> {
     token: u64,
     completions: &'a Arc<Completions>,
-    registry: &'a ReactorRegistry,
+    registry: &'a [Arc<Counters>],
+    /// Forwards for the reactor to send once the line is dispatched;
+    /// `None` where there is no reactor (stdio).
+    forwards: Option<&'a RefCell<Vec<Forward>>>,
 }
 
 impl FrontendContext<'_> {
@@ -529,14 +608,25 @@ impl FrontendContext<'_> {
         }
     }
 
+    /// Send `line` to upstream `upstream` (an index into
+    /// [`Frontend::upstreams`]) on the reactor's own connection to it.
+    /// Its reply lines, which carry `id`, answer `completer`: streamed
+    /// frames as they arrive, through the first line that is not one.
+    pub fn forward(&self, upstream: usize, id: u64, completer: Completer, line: String) {
+        match self.forwards {
+            Some(forwards) => forwards.borrow_mut().push((upstream, id, completer, line)),
+            None => completer.fail(ServeError::Unavailable("no upstreams over stdio".into())),
+        }
+    }
+
     /// Number of reactor threads serving this listen address.
     pub fn reactor_threads(&self) -> usize {
-        self.registry.threads()
+        self.registry.len()
     }
 
     /// Per-reactor counter snapshots, in reactor order.
     pub fn reactor_stats(&self) -> Vec<ReactorStats> {
-        self.registry.snapshot()
+        snapshot(self.registry)
     }
 }
 
@@ -551,6 +641,13 @@ impl FrontendContext<'_> {
 pub trait Frontend: Send + Sync {
     /// Handle one newline-framed request line (newline stripped).
     fn handle(&self, line: &str, ctx: &FrontendContext<'_>) -> Option<String>;
+
+    /// Addresses of the servers [`FrontendContext::forward`] reaches,
+    /// resolved once when the pool spawns. Each reactor keeps its own
+    /// lazily dialed connection to each. None by default.
+    fn upstreams(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 const TOKEN_LISTENER: u64 = 0;
@@ -571,8 +668,9 @@ pub(crate) struct Interest {
 /// One line stream with no file descriptor in it: the framing, buffers,
 /// in-flight count and back-pressure every transport shares. A reactor
 /// connection and the stdio session feed it what they read, dispatch
-/// its lines and write out the replies it queues; a proxy backend's
-/// reader frames shard replies through it. So all frame and cap alike.
+/// its lines and write out the replies it queues; an upstream
+/// connection queues requests in it and frames replies through it. So
+/// all frame and cap alike.
 pub(crate) struct ConnCore {
     /// Line cap and back-pressure thresholds (`max_connections` unused).
     cfg: ReactorConfig,
@@ -778,7 +876,7 @@ pub struct ReactorPool {
     /// False when the `SO_REUSEPORT` path was refused and the pool fell
     /// back to a shared accept queue.
     reuseport: bool,
-    registry: ReactorRegistry,
+    registry: Registry,
     /// Each started reactor's completion queue, for the shutdown signal.
     wakes: Vec<Arc<Completions>>,
     threads: Vec<thread::JoinHandle<io::Result<()>>>,
@@ -805,8 +903,18 @@ impl ReactorPool {
             .next()
             .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
         let (listeners, reuseport) = bind_listeners(addr, threads.max(1))?;
+        // An address that does not resolve leaves its upstream with none
+        // to dial: its requests then fail with `unavailable`.
+        let upstreams: Vec<(String, Vec<SocketAddr>)> = frontend
+            .upstreams()
+            .into_iter()
+            .map(|name| {
+                let addrs = name.to_socket_addrs().map(Iterator::collect);
+                (name, addrs.unwrap_or_default())
+            })
+            .collect();
         let counters: Vec<Arc<Counters>> = listeners.iter().map(|_| Arc::default()).collect();
-        let registry = ReactorRegistry::new(counters.clone());
+        let registry: Registry = counters.clone().into();
         let mut pool = ReactorPool {
             addr: listeners[0].local_addr()?,
             reuseport,
@@ -824,6 +932,7 @@ impl ReactorPool {
                 cfg.clone(),
                 Arc::clone(&completions),
                 counters,
+                &upstreams,
             )?;
             let thread = thread::Builder::new()
                 .name(format!("atlas-reactor-{i}"))
@@ -847,13 +956,13 @@ impl ReactorPool {
 
     /// Per-reactor counter snapshots, in reactor order.
     pub fn reactor_stats(&self) -> Vec<ReactorStats> {
-        self.registry.snapshot()
+        snapshot(&self.registry)
     }
 
     /// Counters summed across reactors.
     pub fn stats(&self) -> ReactorStats {
         let mut total = ReactorStats::default();
-        for s in self.registry.snapshot() {
+        for s in snapshot(&self.registry) {
             total.accepted += s.accepted;
             total.rejected += s.rejected;
             total.closed += s.closed;
@@ -921,58 +1030,78 @@ impl Drop for ReactorPool {
 /// allows it, otherwise dup'd handles of a single listener. Returns the
 /// listeners plus whether the reuseport path was taken.
 fn bind_listeners(addr: SocketAddr, n: usize) -> io::Result<(Vec<TcpListener>, bool)> {
-    if n > 1 {
-        if let SocketAddr::V4(v4) = addr {
-            if let Ok(first) = sys::reuseport_listener(v4) {
-                // Port 0: learn the concrete port before binding the rest.
-                let bound = first.local_addr()?;
-                let mut listeners = vec![first];
-                let concrete = match bound {
-                    SocketAddr::V4(b) => b,
-                    SocketAddr::V6(_) => unreachable!("IPv4 bind yields an IPv4 address"),
-                };
-                let mut ok = true;
-                for _ in 1..n {
-                    match sys::reuseport_listener(concrete) {
-                        Ok(l) => listeners.push(l),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    return Ok((listeners, true));
-                }
-                // Partial failure: drop what we bound and fall through to
-                // the shared-queue fallback.
+    if let (true, SocketAddr::V4(v4)) = (n > 1, addr) {
+        if let Ok(first) = sys::reuseport_listener(v4, 1024) {
+            // Port 0: learn the concrete port before binding the rest.
+            let SocketAddr::V4(bound) = first.local_addr()? else {
+                unreachable!("IPv4 bind yields an IPv4 address")
+            };
+            let rest: io::Result<Vec<_>> = (1..n)
+                .map(|_| sys::reuseport_listener(bound, 1024))
+                .collect();
+            // A partial failure drops what was bound and falls through to
+            // the shared-queue fallback.
+            if let Ok(rest) = rest {
+                return Ok((std::iter::once(first).chain(rest).collect(), true));
             }
         }
     }
     let first = TcpListener::bind(addr)?;
+    // The dups share the listener's open file, non-blocking flag included.
     first.set_nonblocking(true)?;
-    let mut listeners = Vec::with_capacity(n);
-    for _ in 1..n {
-        let dup = first.try_clone()?;
-        dup.set_nonblocking(true)?;
-        listeners.push(dup);
+    let dups: Vec<_> = (1..n)
+        .map(|_| first.try_clone())
+        .collect::<io::Result<_>>()?;
+    Ok((std::iter::once(first).chain(dups).collect(), false))
+}
+
+/// A client's connection, or the reactor's own to one upstream.
+struct Conn {
+    stream: TcpStream,
+    core: ConnCore,
+    /// The epoll mask registered for the socket, and the upstream's index
+    /// on an upstream connection.
+    registered: u32,
+    upstream: Option<usize>,
+}
+
+/// One upstream of the frontend, as one reactor sees it.
+#[derive(Default)]
+struct Upstream {
+    /// The address as the frontend spelled it, and what it resolved to
+    /// (a failed dial moves the next address first).
+    name: String,
+    addrs: Vec<SocketAddr>,
+    /// This reactor's connection to it, if any, and the requests sent on
+    /// it by the id their replies carry.
+    conn: Option<u64>,
+    pending: HashMap<u64, Completer>,
+    /// When its dial gives up, while in flight, and when a dial last
+    /// failed (no new one before [`RECONNECT_COOLDOWN`]).
+    dial_deadline: Option<Instant>,
+    failed_at: Option<Instant>,
+}
+
+impl Upstream {
+    fn unavailable(&self, why: &str) -> ServeError {
+        ServeError::Unavailable(format!("upstream {} {why}", self.name))
     }
-    listeners.insert(0, first);
-    Ok((listeners, false))
 }
 
 /// One reactor's event loop (private; started by [`ReactorPool::spawn`]).
 struct Loop {
     frontend: Arc<dyn Frontend>,
-    registry: ReactorRegistry,
+    registry: Registry,
     listener: TcpListener,
     cfg: ReactorConfig,
     completions: Arc<Completions>,
     counters: Arc<Counters>,
     ep: sys::OwnedFd,
-    /// Each connection's socket, stream core and registered epoll mask.
-    conns: HashMap<u64, (TcpStream, ConnCore, u32)>,
+    conns: HashMap<u64, Conn>,
     next_token: u64,
+    upstreams: Vec<Upstream>,
+    /// What the frontend forwarded while a connection dispatched.
+    forwards: RefCell<Vec<Forward>>,
     /// Set after a non-transient `accept` failure (EMFILE/ENFILE fd
     /// exhaustion): the listener is disarmed and re-armed after a short
     /// timed wait, instead of level-triggered epoll busy-spinning on the
@@ -983,11 +1112,12 @@ struct Loop {
 impl Loop {
     fn new(
         frontend: Arc<dyn Frontend>,
-        registry: ReactorRegistry,
+        registry: Registry,
         listener: TcpListener,
         cfg: ReactorConfig,
         completions: Arc<Completions>,
         counters: Arc<Counters>,
+        upstreams: &[(String, Vec<SocketAddr>)],
     ) -> io::Result<Loop> {
         let ep = sys::epoll_create()?;
         sys::ctl(
@@ -998,6 +1128,11 @@ impl Loop {
             TOKEN_LISTENER,
         )?;
         completions.watch(&ep)?;
+        let upstreams = upstreams.iter().map(|(name, addrs)| Upstream {
+            name: name.clone(),
+            addrs: addrs.clone(),
+            ..Upstream::default()
+        });
         Ok(Loop {
             frontend,
             registry,
@@ -1008,72 +1143,95 @@ impl Loop {
             ep,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
+            upstreams: upstreams.collect(),
+            forwards: RefCell::default(),
             accept_backoff: false,
         })
     }
 
     fn run(mut self) -> io::Result<()> {
         let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
-        loop {
-            let timeout_ms = if self.accept_backoff { 50 } else { -1 };
-            let n = sys::wait(self.ep.0, &mut events, timeout_ms)?;
-            if self.accept_backoff {
-                // Re-arm the listener after the cool-down (fds may have
-                // been freed by closed connections in the meantime).
-                self.accept_backoff = false;
-                let _ = sys::ctl(
-                    self.ep.0,
-                    sys::EPOLL_CTL_MOD,
-                    self.listener.as_raw_fd(),
-                    sys::EPOLLIN,
-                    TOKEN_LISTENER,
-                );
-                self.accept_ready();
-            }
-            for ev in &events[..n] {
-                // Copy out of the possibly-packed struct before use.
-                let (token, bits) = (ev.data, ev.events);
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => {
-                        // Queue the whole batch first, so each connection
-                        // writes its share of it at once.
-                        let batch = self.completions.drain();
-                        for c in &batch {
-                            if let Some((_, core, _)) = self.conns.get_mut(&c.token) {
-                                core.complete(&c.line, c.last);
-                            }
-                        }
-                        for c in &batch {
-                            self.settle(c.token);
-                        }
-                        if self.completions.shutdown.load(Ordering::SeqCst) {
-                            // Close everything; undelivered replies are
-                            // dropped with their connections.
-                            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-                            for t in tokens {
-                                self.close_conn(t);
-                            }
-                            return Ok(());
+        while self.turn(&mut events)? {}
+        Ok(())
+    }
+
+    /// Wait for events once and handle them; false once shut down.
+    fn turn(&mut self, events: &mut [sys::EpollEvent]) -> io::Result<bool> {
+        // Wake within 50 ms to re-arm the listener after an accept
+        // back-off, or to time a dial out.
+        let dialing = self.upstreams.iter().any(|u| u.dial_deadline.is_some());
+        let timeout_ms = if self.accept_backoff || dialing {
+            50
+        } else {
+            -1
+        };
+        let n = sys::wait(self.ep.0, events, timeout_ms)?;
+        if self.accept_backoff {
+            // Re-arm the listener after the cool-down (fds may have
+            // been freed by closed connections in the meantime).
+            self.accept_backoff = false;
+            let _ = sys::ctl(
+                self.ep.0,
+                sys::EPOLL_CTL_MOD,
+                self.listener.as_raw_fd(),
+                sys::EPOLLIN,
+                TOKEN_LISTENER,
+            );
+            self.accept_ready();
+        }
+        let now = Instant::now();
+        let timed_out = |u: &Upstream| u.conn.filter(|_| u.dial_deadline.is_some_and(|t| t <= now));
+        let timed_out: Vec<u64> = self.upstreams.iter().filter_map(timed_out).collect();
+        for token in timed_out {
+            self.close_conn(token, "timed out connecting");
+        }
+        for ev in &events[..n] {
+            // Copy out of the possibly-packed struct before use.
+            let (token, bits) = (ev.data, ev.events);
+            match token {
+                TOKEN_LISTENER => self.accept_ready(),
+                TOKEN_WAKE => {
+                    // Queue the whole batch first, so each connection
+                    // writes its share of it at once.
+                    let batch = self.completions.drain();
+                    for c in &batch {
+                        if let Some(conn) = self.conns.get_mut(&c.token) {
+                            conn.core.complete(&c.line, c.last);
                         }
                     }
-                    token => self.conn_ready(token, bits),
+                    for c in &batch {
+                        self.settle(c.token);
+                    }
+                    if self.completions.shutdown.load(Ordering::SeqCst) {
+                        // Close everything; undelivered replies are
+                        // dropped with their connections.
+                        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+                        for t in tokens {
+                            self.close_conn(t, "is shutting down");
+                        }
+                        return Ok(false);
+                    }
                 }
+                token => self.conn_ready(token, bits),
             }
         }
+        Ok(true)
     }
 
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.conns.len() >= self.cfg.max_connections {
+                    let clients = self.counters.active.load(Ordering::Relaxed);
+                    if clients as usize >= self.cfg.max_connections {
                         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                         refuse(stream);
                         continue;
                     }
-                    if self.admit(stream).is_err() {
-                        continue;
+                    let core = ConnCore::new(&self.cfg);
+                    if self.insert(stream, core, None).is_ok() {
+                        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                        self.counters.active.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1102,7 +1260,14 @@ impl Loop {
         }
     }
 
-    fn admit(&mut self, stream: TcpStream) -> io::Result<()> {
+    /// Add a socket to the table, registered for reading ([`Loop::settle`]
+    /// adds writability, which also reports the end of an upstream's dial).
+    fn insert(
+        &mut self,
+        stream: TcpStream,
+        core: ConnCore,
+        upstream: Option<usize>,
+    ) -> io::Result<u64> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         let token = self.next_token;
@@ -1114,90 +1279,234 @@ impl Loop {
             sys::EPOLLIN,
             token,
         )?;
-        let core = ConnCore::new(&self.cfg);
-        self.conns.insert(token, (stream, core, sys::EPOLLIN));
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        self.counters.active.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        let conn = Conn {
+            stream,
+            core,
+            registered: sys::EPOLLIN,
+            upstream,
+        };
+        self.conns.insert(token, conn);
+        Ok(token)
     }
 
     /// One readiness event: one read fed to the core and every line it
-    /// completes dispatched, then [`Loop::settle`]. A frontend that keeps
-    /// the request (`None`) will answer through a [`Completer`]; counting
-    /// it in flight after `handle` returns is safe, because completions
-    /// are drained only by this thread.
+    /// completes dispatched, then [`Loop::settle`], then what the
+    /// frontend forwarded sent on. A frontend that keeps the request
+    /// (`None`) will answer through a [`Completer`]; counting it in
+    /// flight after `handle` returns is safe, because completions are
+    /// drained only by this thread.
     fn conn_ready(&mut self, token: u64, bits: u32) {
-        let Some((stream, core, _)) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
+        if let Some(upstream) = conn.upstream {
+            return self.upstream_ready(token, upstream, bits);
+        }
         if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-            return self.close_conn(token);
+            return self.close_conn(token, "");
         }
         if bits & sys::EPOLLIN != 0 {
             let mut chunk = [0u8; 8192];
-            match stream.read(&mut chunk) {
-                Ok(n) => core.feed(&chunk[..n]),
+            match conn.stream.read(&mut chunk) {
+                Ok(n) => conn.core.feed(&chunk[..n]),
                 Err(e) if must_wait(&e) => {}
-                Err(_) => return self.close_conn(token),
+                Err(_) => return self.close_conn(token, ""),
             }
             let ctx = FrontendContext {
                 token,
                 completions: &self.completions,
                 registry: &self.registry,
+                forwards: Some(&self.forwards),
             };
-            while let Some(submitted) = core.dispatch_next(&*self.frontend, &ctx) {
+            while let Some(submitted) = conn.core.dispatch_next(&*self.frontend, &ctx) {
                 if submitted {
                     self.counters.requests.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
         self.settle(token);
+        for forward in self.forwards.take() {
+            self.forward(forward);
+        }
+    }
+
+    /// One readiness event on an upstream connection: its dial's outcome
+    /// while that is in flight, else one read whose reply lines are
+    /// [`relay`]ed. The end of the stream, a read error or an over-long
+    /// line closes it; replies sent before a close are read first.
+    fn upstream_ready(&mut self, token: u64, upstream: usize, bits: u32) {
+        let conn = self.conns.get_mut(&token).expect("checked by conn_ready");
+        let up = &mut self.upstreams[upstream];
+        if up.dial_deadline.is_some() {
+            if let Some(e) = conn.stream.take_error().unwrap_or_else(Some) {
+                return self.close_conn(token, &format!("refused the connection: {e}"));
+            }
+            up.dial_deadline = None;
+        } else if bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0 {
+            let mut chunk = [0u8; 8192];
+            let n = match conn.stream.read(&mut chunk) {
+                Ok(n) => n,
+                Err(e) if must_wait(&e) => return,
+                Err(_) => return self.close_conn(token, "disconnected mid-request"),
+            };
+            conn.core.feed(&chunk[..n]);
+            let mut closed = (n == 0).then_some("disconnected mid-request");
+            while let Some(line) = conn.core.next_line() {
+                match line {
+                    Ok(line) => relay(&mut up.pending, &line),
+                    Err(_) => closed = Some("sent an over-long reply line"),
+                }
+            }
+            if let Some(why) = closed {
+                return self.close_conn(token, why);
+            }
+        }
+        self.settle(token);
+    }
+
+    /// Queue one forwarded request on its upstream's connection, dialing
+    /// one if there is none, or fail it with `unavailable`: the upstream
+    /// does not exist, is cooling down after a failed dial, cannot be
+    /// dialed, or has stopped reading (more than
+    /// [`ReactorConfig::write_high_water`] bytes wait for it).
+    fn forward(&mut self, (upstream, id, completer, line): Forward) {
+        let Some(up) = self.upstreams.get(upstream) else {
+            return completer.fail(ServeError::Unavailable(format!("no upstream {upstream}")));
+        };
+        let token = match up.conn {
+            Some(token) => Ok(token),
+            None => self.dial(upstream),
+        };
+        let up = &mut self.upstreams[upstream];
+        let token = match token {
+            Ok(token) => token,
+            Err(why) => return completer.fail(up.unavailable(&why)),
+        };
+        let conn = self.conns.get_mut(&token).expect("in the table");
+        if conn.core.unwritten().len() > self.cfg.write_high_water {
+            return completer.fail(up.unavailable("is not reading its requests"));
+        }
+        conn.core.queue(&line);
+        up.pending.insert(id, completer);
+        self.settle(token);
+    }
+
+    /// Start a non-blocking dial to `upstream`'s first address and add
+    /// the connection to the table. At most one
+    /// dial per [`RECONNECT_COOLDOWN`] after one failed: a dead upstream
+    /// answers `unavailable` from memory, not from a dial per request.
+    fn dial(&mut self, upstream: usize) -> Result<u64, String> {
+        let up = &self.upstreams[upstream];
+        if up
+            .failed_at
+            .is_some_and(|t| t.elapsed() < RECONNECT_COOLDOWN)
+        {
+            return Err("is in reconnect cooldown after a failed connect".to_owned());
+        }
+        let addr = up.addrs.first().copied().ok_or("resolved to no address")?;
+        // Replies are always read, so proxy and upstream never wait on
+        // each other's back-pressure.
+        let core = ConnCore::new(&ReactorConfig {
+            max_inflight: usize::MAX,
+            write_high_water: usize::MAX,
+            ..self.cfg.clone()
+        });
+        let dialed = sys::connect_nonblocking(addr)
+            .and_then(|stream| self.insert(stream, core, Some(upstream)));
+        let up = &mut self.upstreams[upstream];
+        match dialed {
+            Ok(token) => {
+                up.conn = Some(token);
+                up.dial_deadline = Some(Instant::now() + CONNECT_TIMEOUT);
+                Ok(token)
+            }
+            Err(e) => {
+                up.failed_at = Some(Instant::now());
+                up.addrs.rotate_left(1);
+                Err(format!("could not be dialed: {e}"))
+            }
+        }
     }
 
     /// Write once what the socket takes, then close the connection if the
     /// write failed or its stream is finished, else bring its epoll
-    /// registration in line with what the core wants.
+    /// registration in line with what the core wants. (A write during an
+    /// upstream's dial just has to wait: writability ends the dial.)
     fn settle(&mut self, token: u64) {
-        let Some((stream, core, registered)) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let mut failed = false;
-        if !core.unwritten().is_empty() {
-            match stream.write(core.unwritten()) {
+        if !conn.core.unwritten().is_empty() {
+            match conn.stream.write(conn.core.unwritten()) {
                 Ok(0) => failed = true,
                 Ok(n) => {
-                    let lines = core.wrote(n) as u64;
-                    self.counters.responses.fetch_add(lines, Ordering::Relaxed);
+                    let lines = conn.core.wrote(n) as u64;
+                    if conn.upstream.is_none() {
+                        self.counters.responses.fetch_add(lines, Ordering::Relaxed);
+                    }
                 }
                 Err(e) if must_wait(&e) => {}
                 Err(_) => failed = true,
             }
         }
-        if failed || core.finished() {
-            return self.close_conn(token);
+        if failed || conn.core.finished() {
+            return self.close_conn(token, "disconnected mid-request");
         }
-        let want = core.interest();
+        let want = conn.core.interest();
         if want.paused {
             self.counters.pauses.fetch_add(1, Ordering::Relaxed);
         }
         let mask =
             if want.read { sys::EPOLLIN } else { 0 } | if want.write { sys::EPOLLOUT } else { 0 };
-        if mask != *registered {
-            let fd = stream.as_raw_fd();
+        if mask != conn.registered {
+            let fd = conn.stream.as_raw_fd();
             if sys::ctl(self.ep.0, sys::EPOLL_CTL_MOD, fd, mask, token).is_err() {
-                return self.close_conn(token);
+                return self.close_conn(token, "could not be watched");
             }
-            *registered = mask;
+            conn.registered = mask;
         }
     }
 
-    fn close_conn(&mut self, token: u64) {
-        if let Some((stream, _, _)) = self.conns.remove(&token) {
-            let _ = sys::ctl_del(self.ep.0, stream.as_raw_fd());
+    /// Drop a connection from the table, closing it. An upstream's fails
+    /// each request pending on it with one `unavailable` saying `why`, and
+    /// one still dialing starts the upstream's reconnect cooldown.
+    fn close_conn(&mut self, token: u64, why: &str) {
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
+        let _ = sys::ctl_del(self.ep.0, conn.stream.as_raw_fd());
+        // Dropping the TcpStream closes the socket.
+        let Some(upstream) = conn.upstream else {
             self.counters.closed.fetch_add(1, Ordering::Relaxed);
             self.counters.active.fetch_sub(1, Ordering::Relaxed);
-            // Dropping the TcpStream closes the socket.
+            return;
+        };
+        let up = &mut self.upstreams[upstream];
+        up.conn = None;
+        if up.dial_deadline.take().is_some() {
+            up.failed_at = Some(Instant::now());
+            up.addrs.rotate_left(1);
         }
+        for (_, completer) in std::mem::take(&mut up.pending) {
+            completer.fail(up.unavailable(why));
+        }
+    }
+}
+
+/// Answer the pending request whose id an upstream reply line carries:
+/// stream an intermediate frame, or complete it with its last line, the
+/// client's own id restored. A line with no pending id is dropped.
+fn relay(pending: &mut HashMap<u64, Completer>, line: &str) {
+    let Some((reply, id, last)) = protocol::parse_relayed(line) else {
+        return;
+    };
+    if last {
+        if let Some(completer) = pending.remove(&id) {
+            completer.complete(protocol::with_id(reply, completer.id()));
+        }
+    } else if let Some(completer) = pending.get(&id) {
+        completer.stream(protocol::with_id(reply, completer.id()));
     }
 }
 
@@ -1230,11 +1539,11 @@ pub fn serve_lines(
     let completions = Arc::new(Completions::new()?);
     let ep = sys::epoll_create()?;
     completions.watch(&ep)?;
-    let registry = ReactorRegistry::new(Vec::new());
     let ctx = FrontendContext {
         token: FIRST_CONN_TOKEN,
         completions: &completions,
-        registry: &registry,
+        registry: &[],
+        forwards: None,
     };
     let mut core = ConnCore::new(&ReactorConfig::default());
     let mut events = [sys::EpollEvent { events: 0, data: 0 }; 1];
@@ -1297,7 +1606,7 @@ impl Frontend for AtlasService {
                     reactors: ctx.reactor_stats(),
                     ..self.stats()
                 };
-                Some(protocol::render_stats(&stats))
+                Some(protocol::render_line(&stats))
             }
             Ok(RequestLine::Models { id }) => Some(protocol::render_line(
                 &protocol::models_response(id, self.default_model(), self.models()),
@@ -2589,6 +2898,138 @@ mod tests {
             assert_eq!(&h.out, &h.queued);
             assert_eq!(h.lines_written, h.lines_queued);
         }
+    }
+
+    /// Forwards every `"verb":"forward"` line, under its own id, to its
+    /// one upstream, and echoes every other line inline.
+    struct ForwardStub(String);
+
+    impl Frontend for ForwardStub {
+        fn handle(&self, line: &str, ctx: &FrontendContext<'_>) -> Option<String> {
+            if !line.contains(r#""verb":"forward""#) {
+                return Some(line.to_owned());
+            }
+            let id = protocol::salvage_id(line);
+            ctx.forward(0, id.unwrap_or(0), ctx.completer(id), line.to_owned());
+            None
+        }
+
+        fn upstreams(&self) -> Vec<String> {
+            vec![self.0.clone()]
+        }
+    }
+
+    #[test]
+    fn cooldown_suppresses_reconnect_storms() {
+        // An upstream nobody listens on: every dial fails. With the
+        // cooldown in place, a burst of forwards dials once per window
+        // instead of once per request.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .and_then(|sock| sock.local_addr())
+            .expect("reserves a port");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let mut lp = Loop::new(
+            Arc::new(ForwardStub(dead.to_string())),
+            Vec::new().into(),
+            listener,
+            ReactorConfig::default(),
+            Arc::new(Completions::new().expect("eventfd")),
+            Arc::default(),
+            &[(dead.to_string(), vec![dead])],
+        )
+        .expect("builds a loop");
+        let forward = |lp: &mut Loop, id: u64| {
+            let completer = Completer {
+                token: FIRST_CONN_TOKEN,
+                id: Some(id),
+                completions: Arc::clone(&lp.completions),
+                answered: AtomicBool::new(false),
+            };
+            lp.forward((0, id, completer, format!(r#"{{"id":{id}}}"#)));
+        };
+        forward(&mut lp, 0);
+        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 8];
+        while lp.upstreams[0].failed_at.is_none() {
+            assert!(lp.turn(&mut events).expect("waits"), "not shut down");
+        }
+        let failed_at = lp.upstreams[0].failed_at;
+        for id in 1..5 {
+            forward(&mut lp, id);
+            assert!(
+                lp.upstreams[0].conn.is_none(),
+                "only the first forward in the window may dial the dead upstream"
+            );
+        }
+        assert_eq!(lp.upstreams[0].failed_at, failed_at, "no second dial");
+        // Each forward was answered once, with `unavailable`.
+        let answers = lp.completions.drain();
+        let ids: Vec<u64> = answers
+            .iter()
+            .map(|c| {
+                assert!(c.line.contains(r#""kind":"unavailable""#), "{}", c.line);
+                field_u64(&serde_json::from_str(&c.line).expect("parses"), "id")
+            })
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+    }
+
+    /// A dial the upstream never answers (its accept queue is full, so the
+    /// kernel drops the SYNs) fails each request waiting on it with one
+    /// `unavailable` once [`CONNECT_TIMEOUT`] passes, and meanwhile the
+    /// reactor serves its other clients.
+    #[test]
+    fn dial_that_never_completes_times_out() {
+        use std::time::Instant;
+
+        let upstream =
+            sys::reuseport_listener(std::net::SocketAddrV4::new([127, 0, 0, 1].into(), 0), 0)
+                .expect("listens");
+        let addr = upstream.local_addr().expect("addr");
+        // Fill the accept queue: connect until a dial no longer completes.
+        let short = std::time::Duration::from_millis(500);
+        let _fillers: Vec<TcpStream> = (0..4)
+            .map_while(|_| TcpStream::connect_timeout(&addr, short).ok())
+            .collect();
+        let pool = ReactorPool::spawn(
+            Arc::new(ForwardStub(addr.to_string())),
+            "127.0.0.1:0",
+            ReactorConfig::default(),
+            1,
+        )
+        .expect("spawns");
+        let mut stuck = TcpStream::connect(pool.addr()).expect("connects");
+        let mut stuck_reader = BufReader::new(stuck.try_clone().expect("clones"));
+        let started = Instant::now();
+        send_line(&mut stuck, r#"{"id":1,"verb":"forward"}"#);
+        send_line(&mut stuck, r#"{"id":2,"verb":"forward"}"#);
+
+        let mut other = TcpStream::connect(pool.addr()).expect("connects");
+        let mut other_reader = BufReader::new(other.try_clone().expect("clones"));
+        send_line(&mut other, r#"{"id":3,"verb":"echo"}"#);
+        assert_eq!(
+            read_line(&mut other_reader),
+            "{\"id\":3,\"verb\":\"echo\"}\n"
+        );
+        assert!(
+            started.elapsed() < CONNECT_TIMEOUT,
+            "served during the dial"
+        );
+
+        let mut ids: Vec<u64> = (0..2)
+            .map(|_| {
+                let reply = read_line(&mut stuck_reader);
+                assert!(reply.contains(r#""kind":"unavailable""#), "got: {reply}");
+                field_u64(&serde_json::from_str(&reply).expect("parses"), "id")
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2], "one answer each");
+        let waited = started.elapsed();
+        assert!(
+            waited < CONNECT_TIMEOUT + std::time::Duration::from_secs(1),
+            "answered after {waited:?}"
+        );
+        pool.shutdown().expect("clean shutdown");
     }
 
     fn wait_until(mut cond: impl FnMut() -> bool) {

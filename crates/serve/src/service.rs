@@ -114,9 +114,6 @@ pub struct ServiceConfig {
     pub max_design_bytes: usize,
     /// Upper bound on designs in the server-side design library.
     pub max_designs: usize,
-    /// Threads used *inside* one request's embedding stage. Kept low by
-    /// default because concurrency comes from the worker pool.
-    pub embed_threads: usize,
     /// Explicit per-model cold-compute quotas (serving name → max workers
     /// concurrently tied up in that model's cold pipelines; clamped to
     /// ≥ 1). Models without an entry get the fair default share
@@ -160,7 +157,6 @@ impl Default for ServiceConfig {
             max_registered_workloads: 1024,
             max_design_bytes: 2 << 20,
             max_designs: 64,
-            embed_threads: 1,
             model_quotas: HashMap::new(),
             max_queued_per_model: 1024,
             workload_file: None,
@@ -1632,7 +1628,6 @@ fn process_job(shared: &Shared, queue: &Queue, job: Job) {
                 queue,
             };
             let result = cold_predict(
-                shared,
                 &state,
                 &job.request,
                 &spec,
@@ -1871,7 +1866,6 @@ impl Drop for FlightGuard<'_> {
 /// leader only exists once it is already running on a worker, so it
 /// always makes progress.
 fn cold_predict(
-    shared: &Shared,
     state: &ModelState,
     request: &PredictRequest,
     spec: &WorkloadSpec,
@@ -1923,7 +1917,7 @@ fn cold_predict(
                 let response = respond(request, state, spec, &cached, true, true, started);
                 Ok(Outcome::predict(response))
             } else {
-                let outcome = compute_embeddings(shared, state, request, spec, source, key, delta);
+                let outcome = compute_embeddings(state, request, spec, source, key, delta);
                 match outcome {
                     Ok(computed) => {
                         guard.resolve(Ok(Arc::clone(&computed.cached)));
@@ -1964,7 +1958,6 @@ struct Computed {
 /// run the encoder and then the heads — reusing base items on the delta
 /// path — and admit the result against the byte budget.
 fn compute_embeddings(
-    shared: &Shared,
     state: &ModelState,
     request: &PredictRequest,
     spec: &WorkloadSpec,
@@ -2010,7 +2003,9 @@ fn compute_embeddings(
         &state.lib,
         &artifacts.data,
         &trace,
-        shared.cfg.embed_threads,
+        // One thread inside the embed: concurrency comes from the
+        // worker pool.
+        1,
         base.as_deref().map(|b| &b.embeddings),
     );
     state.embeds_computed.fetch_add(1, Ordering::Relaxed);

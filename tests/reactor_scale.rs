@@ -10,7 +10,10 @@ use std::time::{Duration, Instant};
 
 use atlas_core::pipeline::{train_atlas, ExperimentConfig};
 use atlas_serve::reactor::{Frontend, FrontendContext, ReactorConfig, ReactorPool};
-use atlas_serve::{AtlasService, PredictResponse, ServiceConfig, StatsResponse};
+use atlas_serve::{
+    trace_route_key, AtlasService, PredictResponse, ServiceConfig, ShardInfo, ShardProxy,
+    ShardRing, StatsResponse,
+};
 
 /// Every test in this binary reasons about the process-global OS thread
 /// count, so they must not overlap; the harness may still run them on
@@ -409,4 +412,73 @@ fn dropping_the_pool_closes_connections_and_joins_its_threads() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(os_threads(), before, "every reactor thread exited");
+}
+
+/// The shard proxy's thread budget: its backend connections live in its
+/// reactors' own connection tables, so after traffic to each of three
+/// backends a two-reactor proxy has added exactly its two reactor
+/// threads — no reader thread per backend.
+#[test]
+fn shard_proxy_runs_on_its_reactor_threads_alone() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let backends: Vec<ReactorPool> = (0..3)
+        .map(|_| {
+            ReactorPool::spawn(
+                Arc::new(EchoStub),
+                "127.0.0.1:0",
+                ReactorConfig::default(),
+                1,
+            )
+            .expect("spawns a backend")
+        })
+        .collect();
+    let shards: Vec<ShardInfo> = backends
+        .iter()
+        .enumerate()
+        .map(|(id, backend)| ShardInfo {
+            id: id as u32,
+            addr: backend.addr().to_string(),
+            vnodes: 16,
+        })
+        .collect();
+    let ring = ShardRing::new(shards.clone()).expect("ring");
+    let design_on = |shard: u32| {
+        (0..)
+            .map(|i| format!("D{i}"))
+            .find(|design| ring.route(trace_route_key(None, design, "W1", 6)).id == shard)
+            .expect("some design routes to every shard")
+    };
+
+    let before = settled_threads();
+    let proxy = ReactorPool::spawn(
+        Arc::new(ShardProxy::new(shards).expect("proxy")),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        2,
+    )
+    .expect("spawns the proxy");
+    // Several clients, so connections land on both reactors (with
+    // SO_REUSEPORT), each sending to every backend.
+    for client in 0..4u64 {
+        let mut stream = TcpStream::connect(proxy.addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        for shard in 0..3u32 {
+            let id = client * 10 + u64::from(shard);
+            let design = design_on(shard);
+            let line = format!(r#"{{"id":{id},"design":"{design}","workload":"W1","cycles":6}}"#);
+            let reply = ask(&mut stream, &mut reader, &line);
+            assert!(reply.contains(&design), "got: {reply}");
+            assert!(reply.contains(&format!(r#""id":{id},"#)), "got: {reply}");
+        }
+    }
+    assert_eq!(
+        settled_threads(),
+        before + 2,
+        "a 2-reactor proxy over 3 backends runs on its 2 reactor threads"
+    );
+    drop(proxy);
+    drop(backends);
 }

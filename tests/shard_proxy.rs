@@ -319,3 +319,220 @@ fn endless_backend_line_is_refused_like_a_disconnect() {
     drop(TcpStream::connect(&addr).expect("connects to the stub"));
     stub.join().expect("stub shard");
 }
+
+/// The ring's first design that routes to shard `shard` (workload `W1`,
+/// 6 cycles).
+fn design_on(ring: &ShardRing, shard: u32) -> String {
+    (0..)
+        .map(|i| format!("D{i}"))
+        .find(|design| ring.route(trace_route_key(None, design, "W1", 6)).id == shard)
+        .expect("some design routes to every shard")
+}
+
+/// The `id` a reply line carries.
+fn reply_id(line: &str) -> u64 {
+    salvage_id(line).unwrap_or_else(|| panic!("reply without an id: {line}"))
+}
+
+/// A shard that accepts but never reads, flooded through a one-reactor
+/// proxy with padded predicts: the proxy never blocks on it. A client of
+/// a healthy shard on the same reactor is answered within 2 s throughout
+/// the flood; requests beyond the stalled shard's write high-water mark
+/// are refused with `unavailable` at once; and when the stalled shard
+/// finally closes, each request still pending on it gets its one
+/// `unavailable`, so every flooded request has exactly one reply.
+#[test]
+fn stalled_shard_flood_never_blocks_the_proxy() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let stalled = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let stalled_addr = stalled.local_addr().expect("addr").to_string();
+    let healthy = ReactorPool::spawn(
+        Arc::new(EchoShard),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        1,
+    )
+    .expect("spawns");
+    let shards = vec![
+        ShardInfo {
+            id: 0,
+            addr: stalled_addr,
+            vnodes: 16,
+        },
+        ShardInfo {
+            id: 1,
+            addr: healthy.addr().to_string(),
+            vnodes: 16,
+        },
+    ];
+    let ring = ShardRing::new(shards.clone()).expect("ring");
+    let (on_stalled, on_healthy) = (design_on(&ring, 0), design_on(&ring, 1));
+    let front = ReactorPool::spawn(
+        Arc::new(ShardProxy::new(shards).expect("proxy")),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        1,
+    )
+    .expect("spawns");
+    // Made after the proxy, so a failing assertion drops the sender, and
+    // with it the stalled connection, before it stops the proxy.
+    let (close_tx, close_rx) = mpsc::channel::<()>();
+    let stub = std::thread::spawn(move || {
+        let (conn, _) = stalled.accept().expect("accepts the proxy");
+        let _ = close_rx.recv();
+        drop(conn);
+    });
+
+    // 40 predicts padded to 256 KiB each: far more than the socket
+    // buffers toward the stalled shard plus the proxy's 256 KiB write
+    // high-water mark hold, and fewer than the 64 a client may have in
+    // flight, so the flood is read in full.
+    const FLOOD: u64 = 40;
+    let mut flood = TcpStream::connect(front.addr()).expect("connects");
+    let mut flood_reader = BufReader::new(flood.try_clone().expect("clones"));
+    let pad = "x".repeat(256 << 10);
+    let writer = std::thread::spawn(move || {
+        for id in 0..FLOOD {
+            let line = format!(
+                "{{\"id\":{id},\"design\":\"{on_stalled}\",\"workload\":\"W1\",\"cycles\":6,\"pad\":\"{pad}\"}}\n"
+            );
+            flood.write_all(line.as_bytes()).expect("floods");
+        }
+        flood
+    });
+
+    let mut client = TcpStream::connect(front.addr()).expect("connects");
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("sets a timeout");
+    let mut reader = BufReader::new(client.try_clone().expect("clones"));
+    let mut asked = 0u64;
+    while asked < 3 || !writer.is_finished() {
+        let started = Instant::now();
+        let line =
+            format!(r#"{{"id":{asked},"design":"{on_healthy}","workload":"W1","cycles":6}}"#);
+        let reply = ask(&mut client, &mut reader, &line);
+        assert!(reply.contains(r#""echo":true"#), "got: {reply}");
+        assert_eq!(reply_id(&reply), asked);
+        assert!(started.elapsed() < Duration::from_secs(2));
+        asked += 1;
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _flood = writer.join().expect("flood writer");
+
+    // Refusals come at once: read until the proxy has gone quiet.
+    flood_reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("sets a timeout");
+    let mut replies = Vec::new();
+    loop {
+        let mut line = String::new();
+        match flood_reader.read_line(&mut line) {
+            Ok(n) if n > 0 => replies.push(line),
+            _ => break,
+        }
+    }
+    let refused = replies.len();
+    assert!(refused > 0, "nothing was refused at the high-water mark");
+    for reply in &replies {
+        assert!(reply.contains(r#""kind":"unavailable""#), "got: {reply}");
+        assert!(reply.contains("not reading"), "got: {reply}");
+    }
+
+    // The stalled shard closes: what was pending on it fails, once each.
+    close_tx.send(()).expect("signals the stub");
+    stub.join().expect("stub shard");
+    flood_reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("sets a timeout");
+    while replies.len() < FLOOD as usize {
+        let mut line = String::new();
+        flood_reader.read_line(&mut line).expect("a pending reply");
+        assert!(line.contains(r#""kind":"unavailable""#), "got: {line}");
+        replies.push(line);
+    }
+    let mut ids: Vec<u64> = replies.iter().map(|r| reply_id(r)).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..FLOOD).collect::<Vec<_>>(), "one reply per request");
+    assert!(refused < FLOOD as usize, "some requests reached the shard");
+
+    front.shutdown().expect("proxy shutdown");
+    healthy.shutdown().expect("shard shutdown");
+}
+
+/// A shard that dies right after the `start` frame of a sweep: the client
+/// gets that frame and then exactly one `unavailable`, and its next
+/// request is answered over a fresh connection to the restarted shard,
+/// which the proxy closes when it stops.
+#[test]
+fn shard_killed_mid_sweep_answers_once_then_reconnects() {
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let stub = std::thread::spawn(move || {
+        let read_request = |conn: &TcpStream| {
+            let mut line = String::new();
+            BufReader::new(conn).read_line(&mut line).expect("reads");
+            salvage_id(&line).expect("the proxy's id")
+        };
+        // First connection: the sweep's start frame, then the shard dies.
+        let (mut conn, _) = listener.accept().expect("accepts");
+        let id = read_request(&conn);
+        let start = format!("{{\"id\":{id},\"verb\":\"sweep\",\"frame\":\"start\",\"items\":1}}\n");
+        conn.write_all(start.as_bytes()).expect("writes");
+        drop(conn);
+        // Second connection: one answer, then the proxy hangs up when it
+        // stops.
+        let (mut conn, _) = listener.accept().expect("accepts again");
+        let id = read_request(&conn);
+        let reply = format!("{{\"id\":{id},\"verb\":\"predict\",\"echo\":true}}\n");
+        conn.write_all(reply.as_bytes()).expect("writes");
+        conn.set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("sets a timeout");
+        std::io::Read::read_to_end(&mut conn, &mut Vec::new())
+            .expect("a stopped proxy closes its shard connections");
+    });
+    let shards = vec![ShardInfo {
+        id: 0,
+        addr,
+        vnodes: 1,
+    }];
+    let front = ReactorPool::spawn(
+        Arc::new(ShardProxy::new(shards).expect("proxy")),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        1,
+    )
+    .expect("spawns");
+    let mut stream = TcpStream::connect(front.addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("sets a timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+    let start = ask(
+        &mut stream,
+        &mut reader,
+        r#"{"id":7,"verb":"sweep","design":"C2","cycles":6,"items":[{"workload":"W1"}]}"#,
+    );
+    assert!(start.contains(r#""frame":"start""#), "got: {start}");
+    assert_eq!(reply_id(&start), 7);
+    let mut failed = String::new();
+    reader.read_line(&mut failed).expect("reads");
+    assert!(failed.contains(r#""kind":"unavailable""#), "got: {failed}");
+    assert_eq!(reply_id(&failed), 7);
+    // The next line answers the next request: nothing else was owed.
+    let reply = ask(
+        &mut stream,
+        &mut reader,
+        r#"{"id":8,"design":"C2","workload":"W1","cycles":6}"#,
+    );
+    assert!(reply.contains(r#""echo":true"#), "got: {reply}");
+    assert_eq!(reply_id(&reply), 8);
+    front.shutdown().expect("proxy shutdown");
+    stub.join().expect("stub shard");
+}
