@@ -1332,8 +1332,9 @@ impl Loop {
 
     /// One readiness event on an upstream connection: its dial's outcome
     /// while that is in flight, else one read whose reply lines are
-    /// [`relay`]ed. The end of the stream, a read error or an over-long
-    /// line closes it; replies sent before a close are read first.
+    /// [`relay`]ed to their clients. The end of the stream, a read error
+    /// or an over-long line closes it; replies sent before a close are
+    /// read first.
     fn upstream_ready(&mut self, token: u64, upstream: usize, bits: u32) {
         let conn = self.conns.get_mut(&token).expect("checked by conn_ready");
         let up = &mut self.upstreams[upstream];
@@ -1351,11 +1352,20 @@ impl Loop {
             };
             conn.core.feed(&chunk[..n]);
             let mut closed = (n == 0).then_some("disconnected mid-request");
+            let mut answers = Vec::new();
             while let Some(line) = conn.core.next_line() {
                 match line {
-                    Ok(line) => relay(&mut up.pending, &line),
+                    Ok(line) => answers.extend(relay(&mut up.pending, &line)),
                     Err(_) => closed = Some("sent an over-long reply line"),
                 }
+            }
+            for (client, line, last) in &answers {
+                if let Some(conn) = self.conns.get_mut(client) {
+                    conn.core.complete(line, *last);
+                }
+            }
+            for (client, ..) in answers {
+                self.settle(client);
             }
             if let Some(why) = closed {
                 return self.close_conn(token, why);
@@ -1494,20 +1504,24 @@ impl Loop {
     }
 }
 
-/// Answer the pending request whose id an upstream reply line carries:
-/// stream an intermediate frame, or complete it with its last line, the
-/// client's own id restored. A line with no pending id is dropped.
-fn relay(pending: &mut HashMap<u64, Completer>, line: &str) {
-    let Some((reply, id, last)) = protocol::parse_relayed(line) else {
-        return;
-    };
+/// The answer an upstream reply line carries for a pending request:
+/// (client connection, line with the client's own id, whether it is the
+/// request's last line). The client is on this reactor, so the line goes
+/// straight to its connection, not through the completion queue.
+fn relay(pending: &mut HashMap<u64, Completer>, line: &str) -> Option<(u64, String, bool)> {
+    let (reply, id, last) = protocol::parse_relayed(line)?;
+    let completer = pending.get_mut(&id)?;
+    // Answered here: dropping it must not answer again.
+    *completer.answered.get_mut() = last;
+    let answer = (
+        completer.token,
+        protocol::with_id(reply, completer.id),
+        last,
+    );
     if last {
-        if let Some(completer) = pending.remove(&id) {
-            completer.complete(protocol::with_id(reply, completer.id()));
-        }
-    } else if let Some(completer) = pending.get(&id) {
-        completer.stream(protocol::with_id(reply, completer.id()));
+        pending.remove(&id);
     }
+    Some(answer)
 }
 
 /// Whether a non-blocking socket call just has to wait for the next
