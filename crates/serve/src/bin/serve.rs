@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! serve --registry DIR --model SPEC [--model SPEC ...]
-//!       [--default-model NAME] [--workers N] [--cache-mb N]
+//!       [--default-model NAME] [--workers N] [--cache-mb MIB]
 //!       [--precision f64|f32]
 //!       [--model-quota NAME=K ...] [--workload-file PATH]
 //!       [--tcp ADDR] [--max-conns N] [--reactor-threads N]
@@ -34,21 +34,27 @@
 //! watts), at one f32 rounding of accuracy instead of bit parity with
 //! f64.
 //!
+//! `--cache-mb` is each model's cache budget in MiB (2^20 bytes) and
+//! takes a decimal, so a byte-exact budget passes through unchanged.
+//!
 //! Both transports hand every line to the one dispatcher, the reactor's
 //! `Frontend` implementation for `AtlasService`. In stdio mode
 //! `serve_lines` answers stdin's requests one at a time, in order, on
-//! stdout (a `sweep` streams its frames as items finish); EOF shuts the
-//! service down. In TCP mode `--reactor-threads N` epoll reactor
+//! stdout (a `sweep` streams its frames as items finish); EOF drains
+//! the service. In TCP mode `--reactor-threads N` epoll reactor
 //! threads (default 1) multiplex every connection — each with its own
 //! `SO_REUSEPORT` listener where the kernel allows it — so the whole
 //! process runs on `--workers + N + 1` OS threads regardless of
-//! connection count.
+//! connection count. SIGINT or SIGTERM drains it: both are blocked
+//! before any thread starts, `main` waits for one in `sigwait`, then
+//! stops the reactors (open connections close) and exits 0.
 //!
 //! `--shard-id N` stamps this process's identity in a shard fleet into
 //! its stats and snapshots (requests route through the `atlas-shard`
 //! proxy; see `docs/ARCHITECTURE.md`). `--cache-snapshot PATH` warm-starts
 //! the embedding cache: the file is restored (entry-by-entry validated,
-//! never fatal) before serving and rewritten when the process drains.
+//! never fatal) before serving and rewritten when the process drains,
+//! on EOF in stdio mode and on SIGINT or SIGTERM in TCP mode.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -63,7 +69,7 @@ struct Args {
     default_model: Option<String>,
     list: bool,
     workers: usize,
-    cache_mb: usize,
+    cache_mb: f64,
     precision: Precision,
     tcp: Option<String>,
     max_conns: usize,
@@ -81,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
         default_model: None,
         list: false,
         workers: 4,
-        cache_mb: 256,
+        cache_mb: 256.0,
         precision: Precision::F64,
         tcp: None,
         max_conns: ReactorConfig::default().max_connections,
@@ -108,6 +114,9 @@ fn parse_args() -> Result<Args, String> {
                 args.cache_mb = value("--cache-mb")?
                     .parse()
                     .map_err(|e| format!("--cache-mb: {e}"))?;
+                if !args.cache_mb.is_finite() || args.cache_mb < 0.0 {
+                    return Err("--cache-mb must be a finite, non-negative number".into());
+                }
             }
             "--model-quota" => {
                 let spec = value("--model-quota")?;
@@ -150,12 +159,14 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: serve --registry DIR (--model SPEC [--model SPEC ...] \
-                     [--default-model NAME] [--workers N] [--cache-mb N] \
+                     [--default-model NAME] [--workers N] [--cache-mb MIB] \
                      [--precision f64|f32] \
                      [--model-quota NAME=K ...] [--workload-file PATH] \
                      [--tcp ADDR] [--max-conns N] [--reactor-threads N] \
                      [--shard-id N] [--cache-snapshot PATH] | --list)\n\
                      SPEC is NAME, ALIAS=NAME, or ALIAS=PATH (an .atlas.json file)\n\
+                     --cache-mb is each model's cache budget in MiB; decimals \
+                     are allowed\n\
                      --precision f32 stores cached embedding rows as f32 (computed \
                      in f64, then narrowed): half the embedding bytes, so the --cache-mb \
                      budget holds more traces\n\
@@ -168,7 +179,7 @@ fn parse_args() -> Result<Args, String> {
                      --shard-id stamps this process's shard identity into stats \
                      and snapshots\n\
                      --cache-snapshot restores the embedding cache at startup and \
-                     rewrites it on drain"
+                     rewrites it on drain (stdio: EOF; TCP: SIGINT or SIGTERM)"
                 );
                 std::process::exit(0);
             }
@@ -192,6 +203,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+
+    // Block the drain signals before the first thread starts, so every
+    // worker and reactor inherits the mask and only `sigwait` sees them.
+    let drain_signals = args.tcp.is_some().then(sig::block);
 
     let registry = match ModelRegistry::open(&args.registry) {
         Ok(registry) => registry,
@@ -239,7 +254,7 @@ fn main() -> ExitCode {
         catalog,
         ServiceConfig {
             workers: args.workers,
-            embedding_cache_bytes: args.cache_mb.saturating_mul(1 << 20),
+            embedding_cache_bytes: (args.cache_mb * (1u64 << 20) as f64) as usize,
             precision: args.precision,
             model_quotas: args.model_quotas.iter().cloned().collect(),
             workload_file: args.workload_file.as_ref().map(Into::into),
@@ -273,14 +288,15 @@ fn main() -> ExitCode {
         );
     }
 
-    let code = match &args.tcp {
-        Some(addr) => serve_tcp(
+    let code = match (&args.tcp, drain_signals) {
+        (Some(addr), Some(signals)) => serve_tcp(
             Arc::clone(&service),
             addr,
             args.max_conns,
             args.reactor_threads,
+            &signals,
         ),
-        None => serve_stdio(&service),
+        _ => serve_stdio(&service),
     };
 
     // Drain: persist the warm cache so the next run of this shard can
@@ -328,7 +344,13 @@ fn serve_stdio(service: &AtlasService) -> ExitCode {
     code
 }
 
-fn serve_tcp(service: Arc<AtlasService>, addr: &str, max_conns: usize, threads: usize) -> ExitCode {
+fn serve_tcp(
+    service: Arc<AtlasService>,
+    addr: &str,
+    max_conns: usize,
+    threads: usize,
+    signals: &sig::SigSet,
+) -> ExitCode {
     let pool = match ReactorPool::spawn(
         service,
         addr,
@@ -354,13 +376,50 @@ fn serve_tcp(service: Arc<AtlasService>, addr: &str, max_conns: usize, threads: 
             "shared accept queue"
         },
     );
-    // Main parks here; the process runs at workers + reactors + 1 OS
-    // threads regardless of connection count.
-    match pool.join() {
+    // Main parks here until SIGINT or SIGTERM; the process runs at
+    // workers + reactors + 1 OS threads regardless of connection count.
+    eprintln!("caught signal {}: draining", sig::wait(signals));
+    match pool.shutdown() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: reactor: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// The drain signals, SIGINT and SIGTERM (Linux; declared here as the
+/// reactor declares its epoll calls).
+mod sig {
+    /// glibc's and musl's `sigset_t`: 1024 bits, all clear when empty.
+    #[repr(C)]
+    pub struct SigSet([u64; 16]);
+
+    extern "C" {
+        fn sigaddset(set: *mut SigSet, signum: i32) -> i32;
+        fn pthread_sigmask(how: i32, set: *const SigSet, old: *mut SigSet) -> i32;
+        fn sigwait(set: *const SigSet, signum: *mut i32) -> i32;
+    }
+
+    /// Block SIGINT (2) and SIGTERM (15) in the calling thread and every
+    /// thread it starts later, and return the set for [`wait`].
+    pub fn block() -> SigSet {
+        let mut set = SigSet([0; 16]);
+        // SAFETY: `set` is a valid `sigset_t`; a null `old` is allowed.
+        // With valid arguments (how 0 is SIG_BLOCK) none of these fails.
+        unsafe {
+            sigaddset(&mut set, 2);
+            sigaddset(&mut set, 15);
+            pthread_sigmask(0, &set, std::ptr::null_mut());
+        }
+        set
+    }
+
+    /// Wait until one of `set`'s signals arrives and return its number.
+    pub fn wait(set: &SigSet) -> i32 {
+        let mut signum = 0;
+        // SAFETY: both pointers are valid; a valid set cannot fail.
+        unsafe { sigwait(set, &mut signum) };
+        signum
     }
 }

@@ -45,21 +45,21 @@
 //!   and in `scripts/check_bench.rs`);
 //! * **shard-scaleout** — a working set sized to thrash one shard's
 //!   embedding-cache budget is served through the consistent-hash shard
-//!   proxy against one, then two, `--shard-server` child processes
-//!   (re-executions of this binary). Routing by trace key makes the
-//!   per-shard caches additive, so the two-shard fleet turns the
-//!   single shard's recompute churn into cache hits and must clear
-//!   ≥1.6x its throughput. One shard is then drained (writing a cache
-//!   snapshot on exit) and restarted from the snapshot; its first warm
-//!   round must be all cache hits with **zero** embeddings recomputed
-//!   and bit-identical answers, and its restored warm p50 must stay
-//!   within 2x of the steady warm p50 (gated here and in
-//!   `scripts/check_bench.rs --shard`).
+//!   proxy against one, then two, shard processes of the shipped
+//!   `serve` binary (found next to this one, so build it first).
+//!   Routing by trace key makes the per-shard caches additive, so the
+//!   two-shard fleet turns the single shard's recompute churn into cache
+//!   hits and must clear ≥1.6x its throughput. One shard is then drained
+//!   by SIGTERM (it writes its cache snapshot and must exit 0) and
+//!   restarted from the snapshot; its first warm round must be all cache
+//!   hits with **zero** embeddings recomputed and bit-identical answers,
+//!   and its restored warm p50 must stay within 2x of the steady warm
+//!   p50 (gated here and in `scripts/check_bench.rs --shard`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::path::Path;
+use std::process::{Child, ChildStderr, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -1025,134 +1025,31 @@ struct ShardScaleoutScenario {
     restored_p50_ratio: f64,
 }
 
-/// Child mode: `serve_bench --shard-server --registry DIR --model NAME
-/// --shard-id N --workers N --embed-cache-bytes N [--cache-snapshot P]`.
-///
-/// Loads the model from the parent's temp registry, serves it behind a
-/// two-reactor pool on an ephemeral port (printing `ADDR <addr>` on
-/// stdout), restores the cache snapshot if one exists, and on stdin EOF
-/// drains, writes the snapshot back, and exits — the parent's handle on
-/// our stdin is the lifecycle control.
-fn run_shard_server() -> ExitCode {
-    let mut registry_dir = String::new();
-    let mut model = String::new();
-    let mut shard_id = 0u32;
-    let mut workers = 2usize;
-    let mut embed_cache_bytes = 256 << 20;
-    let mut cache_snapshot: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        let parsed = match flag.as_str() {
-            "--shard-server" => Ok(()),
-            "--registry" => value("--registry").map(|v| registry_dir = v),
-            "--model" => value("--model").map(|v| model = v),
-            "--shard-id" => value("--shard-id")
-                .and_then(|v| v.parse().map_err(|e| format!("--shard-id: {e}")))
-                .map(|v| shard_id = v),
-            "--workers" => value("--workers")
-                .and_then(|v| v.parse().map_err(|e| format!("--workers: {e}")))
-                .map(|v| workers = v),
-            "--embed-cache-bytes" => value("--embed-cache-bytes")
-                .and_then(|v| v.parse().map_err(|e| format!("--embed-cache-bytes: {e}")))
-                .map(|v| embed_cache_bytes = v),
-            "--cache-snapshot" => {
-                value("--cache-snapshot").map(|v| cache_snapshot = Some(PathBuf::from(v)))
-            }
-            other => Err(format!("unknown --shard-server flag `{other}`")),
-        };
-        if let Err(msg) = parsed {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let registry = match ModelRegistry::open(&registry_dir) {
-        Ok(registry) => registry,
-        Err(e) => {
-            eprintln!("error: open registry {registry_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let saved = match registry.load(&model) {
-        Ok(saved) => saved,
-        Err(e) => {
-            eprintln!("error: load model {model}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let service = Arc::new(AtlasService::start(
-        saved,
-        ServiceConfig {
-            workers,
-            embedding_cache_bytes: embed_cache_bytes,
-            shard_id: Some(shard_id),
-            ..ServiceConfig::default()
-        },
-    ));
-    if let Some(path) = &cache_snapshot {
-        let report = service.restore_cache(path);
-        eprintln!(
-            "shard {shard_id}: snapshot {}: restored {} entries, skipped {}",
-            path.display(),
-            report.restored,
-            report.skipped
-        );
-    }
-    let frontend: Arc<AtlasService> = Arc::clone(&service);
-    let pool = match ReactorPool::spawn(frontend, "127.0.0.1:0", ReactorConfig::default(), 2) {
-        Ok(pool) => pool,
-        Err(e) => {
-            eprintln!("error: start shard listener: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("ADDR {}", pool.addr());
-    if std::io::stdout().flush().is_err() {
-        return ExitCode::FAILURE;
-    }
-    // Park until the parent closes our stdin, then drain and snapshot.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match std::io::stdin().lock().read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-    if let Err(e) = pool.shutdown() {
-        eprintln!("error: shard shutdown: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = &cache_snapshot {
-        match service.snapshot_cache(path) {
-            Ok(entries) => eprintln!(
-                "shard {shard_id}: wrote {entries} cache entries to {}",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("error: shard snapshot: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// One `--shard-server` child process and its listen address.
+/// One shard: a child process of the shipped `serve` binary and its
+/// listen address.
 struct ShardChild {
     child: Child,
+    /// The rest of the shard's stderr, relayed at shutdown.
+    log: BufReader<ChildStderr>,
     info: ShardInfo,
 }
 
 impl ShardChild {
-    /// Close the child's stdin (its drain signal) and wait for it to
-    /// snapshot and exit.
+    /// Send the shard SIGTERM and wait for it to drain, write its cache
+    /// snapshot and exit 0.
     fn shutdown(mut self) -> Result<(), String> {
-        drop(self.child.stdin.take());
+        // SAFETY: the pid is our own unreaped child, so it cannot have
+        // been recycled.
+        unsafe { kill(self.child.id() as i32, SIGTERM) };
         let status = self
             .child
             .wait()
             .map_err(|e| format!("wait shard {}: {e}", self.info.id))?;
+        let mut log = String::new();
+        let _ = self.log.read_to_string(&mut log);
+        for line in log.lines() {
+            eprintln!("shard {}: {line}", self.info.id);
+        }
         if !status.success() {
             return Err(format!("shard {} exited with {status}", self.info.id));
         }
@@ -1168,8 +1065,15 @@ impl Drop for ShardChild {
     }
 }
 
-/// Re-execute this binary as a `--shard-server` child and wait for its
-/// `ADDR` line.
+extern "C" {
+    fn kill(pid: i32, sig: i32) -> i32;
+}
+const SIGTERM: i32 = 15;
+
+/// Start the `serve` binary that sits next to this one as shard
+/// `shard_id` (two reactors, four workers, a cache budget of
+/// `embed_cache_bytes`, warm-started from `snapshot`) and wait for its
+/// `listening on ADDR` line.
 fn spawn_shard(
     registry_dir: &Path,
     model: &str,
@@ -1177,34 +1081,45 @@ fn spawn_shard(
     embed_cache_bytes: usize,
     snapshot: &Path,
 ) -> Result<ShardChild, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut child = Command::new(exe)
-        .arg("--shard-server")
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("current_exe: {e}"))?
+        .with_file_name("serve");
+    // `bytes / 2^20` is exact in an f64, and `to_string` prints a form
+    // that parses back to the same bits, so the shard's budget is
+    // `embed_cache_bytes` to the byte.
+    let cache_mb = embed_cache_bytes as f64 / (1u64 << 20) as f64;
+    let mut child = Command::new(&exe)
+        .args(["--tcp", "127.0.0.1:0", "--reactor-threads", "2"])
         .arg("--registry")
         .arg(registry_dir)
         .args(["--model", model])
         .args(["--shard-id", &shard_id.to_string()])
         .args(["--workers", "4"])
-        .args(["--embed-cache-bytes", &embed_cache_bytes.to_string()])
+        .args(["--cache-mb", &cache_mb.to_string()])
         .arg("--cache-snapshot")
         .arg(snapshot)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
-        .map_err(|e| format!("spawn shard {shard_id}: {e}"))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
+        .map_err(|e| format!("spawn {} (build the `serve` bin first): {e}", exe.display()))?;
+    let mut log = BufReader::new(child.stderr.take().expect("piped stderr"));
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read shard {shard_id} address: {e}"))?;
-    let addr = line
-        .trim()
-        .strip_prefix("ADDR ")
-        .ok_or_else(|| format!("shard {shard_id} announced `{}`", line.trim()))?
-        .to_owned();
+    let addr = loop {
+        line.clear();
+        match log.read_line(&mut line) {
+            Ok(0) | Err(_) => return Err(format!("shard {shard_id} exited before listening")),
+            Ok(_) => eprint!("shard {shard_id}: {line}"),
+        }
+        if let Some((_, rest)) = line.split_once("listening on ") {
+            break rest
+                .split_whitespace()
+                .next()
+                .unwrap_or_default()
+                .to_owned();
+        }
+    };
     Ok(ShardChild {
         child,
+        log,
         info: ShardInfo {
             id: shard_id,
             addr,
@@ -1468,6 +1383,12 @@ fn run_shard_scaleout_scenario(
             }
         }
         let stats = tcp_stats(&shard_b.info.addr)?;
+        if stats.embedding_cache.budget != budget {
+            return Err(format!(
+                "shard 1 runs a {} B cache budget, not {budget} B",
+                stats.embedding_cache.budget
+            ));
+        }
         restored_proxy
             .shutdown()
             .map_err(|e| format!("restored proxy shutdown: {e}"))?;
@@ -1503,9 +1424,6 @@ fn run_shard_scaleout_scenario(
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|arg| arg == "--shard-server") {
-        return run_shard_server();
-    }
     let args = match parse_args() {
         Ok(args) => args,
         Err(msg) => {

@@ -426,6 +426,10 @@ pub struct ReactorStats {
     pub responses: u64,
     /// Times a connection's read side was paused for back-pressure.
     pub pauses: u64,
+    /// Forwarded requests this reactor answered `unavailable` because
+    /// their upstream failed them: it was cooling down, could not be
+    /// dialed, stopped reading, or closed with them pending.
+    pub upstream_failures: u64,
 }
 
 #[derive(Default)]
@@ -437,6 +441,7 @@ struct Counters {
     requests: AtomicU64,
     responses: AtomicU64,
     pauses: AtomicU64,
+    upstream_failures: AtomicU64,
 }
 
 impl Counters {
@@ -449,7 +454,14 @@ impl Counters {
             requests: self.requests.load(Ordering::Relaxed),
             responses: self.responses.load(Ordering::Relaxed),
             pauses: self.pauses.load(Ordering::Relaxed),
+            upstream_failures: self.upstream_failures.load(Ordering::Relaxed),
         }
+    }
+
+    /// Answer a forwarded request with its upstream's `error`, counted.
+    fn fail_upstream(&self, completer: Completer, error: ServeError) {
+        self.upstream_failures.fetch_add(1, Ordering::Relaxed);
+        completer.fail(error);
     }
 }
 
@@ -970,6 +982,7 @@ impl ReactorPool {
             total.requests += s.requests;
             total.responses += s.responses;
             total.pauses += s.pauses;
+            total.upstream_failures += s.upstream_failures;
         }
         total
     }
@@ -986,8 +999,8 @@ impl ReactorPool {
     }
 
     /// Block until every reactor thread exits (a fatal error or an
-    /// external shutdown signal). Used by the `serve` binary, which
-    /// parks `main` here.
+    /// external shutdown signal). Used by the `atlas-shard` binary,
+    /// which parks `main` here.
     ///
     /// # Errors
     ///
@@ -1381,7 +1394,8 @@ impl Loop {
     /// [`ReactorConfig::write_high_water`] bytes wait for it).
     fn forward(&mut self, (upstream, id, completer, line): Forward) {
         let Some(up) = self.upstreams.get(upstream) else {
-            return completer.fail(ServeError::Unavailable(format!("no upstream {upstream}")));
+            let error = ServeError::Unavailable(format!("no upstream {upstream}"));
+            return self.counters.fail_upstream(completer, error);
         };
         let token = match up.conn {
             Some(token) => Ok(token),
@@ -1390,11 +1404,12 @@ impl Loop {
         let up = &mut self.upstreams[upstream];
         let token = match token {
             Ok(token) => token,
-            Err(why) => return completer.fail(up.unavailable(&why)),
+            Err(why) => return self.counters.fail_upstream(completer, up.unavailable(&why)),
         };
         let conn = self.conns.get_mut(&token).expect("in the table");
         if conn.core.unwritten().len() > self.cfg.write_high_water {
-            return completer.fail(up.unavailable("is not reading its requests"));
+            let error = up.unavailable("is not reading its requests");
+            return self.counters.fail_upstream(completer, error);
         }
         conn.core.queue(&line);
         up.pending.insert(id, completer);
@@ -1499,7 +1514,7 @@ impl Loop {
             up.addrs.rotate_left(1);
         }
         for (_, completer) in std::mem::take(&mut up.pending) {
-            completer.fail(up.unavailable(why));
+            self.counters.fail_upstream(completer, up.unavailable(why));
         }
     }
 }

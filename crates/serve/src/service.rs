@@ -88,6 +88,13 @@ use crate::protocol::{
 use crate::quota::{Admission, QuotaGate};
 use crate::registry::{ModelCatalog, ModelRegistry, RegistryError, SavedModel};
 
+/// Per-model capacity (entries) of the design → netlist + sub-module
+/// data cache.
+const DESIGN_CACHE_ENTRIES: usize = 16;
+
+/// Upper bound on phases per schedule — inline or registered.
+const MAX_PHASES: usize = 64;
+
 /// Tuning knobs of one service instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -98,14 +105,9 @@ pub struct ServiceConfig {
     /// [`CachedTrace`] cache, accounted with [`CachedTrace::weight`]. An
     /// entry larger than the whole budget is served but never cached.
     pub embedding_cache_bytes: usize,
-    /// Per-model capacity (entries) of the design → netlist + sub-module
-    /// data cache.
-    pub design_cache: usize,
     /// Upper bound on `cycles` per request (backpressure against
     /// accidental million-cycle requests).
     pub max_cycles: usize,
-    /// Upper bound on phases per schedule — inline or registered.
-    pub max_phases: usize,
     /// Upper bound on schedules in the server-side workload library.
     pub max_registered_workloads: usize,
     /// Upper bound on the byte size of one `load_design` upload body
@@ -151,9 +153,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             embedding_cache_bytes: 256 << 20,
-            design_cache: 16,
             max_cycles: 4096,
-            max_phases: 64,
             max_registered_workloads: 1024,
             max_design_bytes: 2 << 20,
             max_designs: 64,
@@ -353,7 +353,7 @@ impl ModelState {
             experiment: saved.config,
             lib,
             embeddings: LruCache::with_budget(cfg.embedding_cache_bytes),
-            designs: LruCache::new(cfg.design_cache),
+            designs: LruCache::new(DESIGN_CACHE_ENTRIES),
             inflight: Mutex::new(HashMap::new()),
             quota,
             gate: QuotaGate::new(cfg.max_queued_per_model),
@@ -984,7 +984,7 @@ impl AtlasService {
     ///
     /// [`ServeError::InvalidRequest`] for a bad name (empty, too long,
     /// non `[A-Za-z0-9._-]`, or shadowing a preset), a bad schedule
-    /// (empty, over [`ServiceConfig::max_phases`], or failing
+    /// (empty, over 64 phases, or failing
     /// [`PhasedWorkload::try_new`] validation), or a full library;
     /// [`ServeError::Registry`] when the journal append fails (the
     /// registration is not applied).
@@ -993,7 +993,7 @@ impl AtlasService {
         name: &str,
         phases: Vec<WorkloadPhase>,
     ) -> Result<(RegisteredWorkload, bool), ServeError> {
-        validate_workload(name, &phases, &self.shared.cfg)?;
+        validate_workload(name, &phases)?;
         let fingerprint = schedule_fingerprint(&phases);
         let mut library = self.shared.workloads.lock().expect("workload lock");
         if !library.contains_key(name) && library.len() >= self.shared.cfg.max_registered_workloads
@@ -1416,11 +1416,7 @@ fn check_library_name(noun: &str, name: &str) -> Result<(), ServeError> {
 
 /// Shared name/schedule validation of `register_workload` and journal
 /// replay.
-fn validate_workload(
-    name: &str,
-    phases: &[WorkloadPhase],
-    cfg: &ServiceConfig,
-) -> Result<(), ServeError> {
+fn validate_workload(name: &str, phases: &[WorkloadPhase]) -> Result<(), ServeError> {
     let bad = |msg: String| ServeError::InvalidRequest(msg);
     check_library_name("workload", name)?;
     if PhasedWorkload::preset(name, 0).is_some() {
@@ -1428,11 +1424,10 @@ fn validate_workload(
             "workload name `{name}` shadows a built-in preset"
         )));
     }
-    if phases.len() > cfg.max_phases {
+    if phases.len() > MAX_PHASES {
         return Err(bad(format!(
-            "schedule has {} phases, limit is {}",
+            "schedule has {} phases, limit is {MAX_PHASES}",
             phases.len(),
-            cfg.max_phases
         )));
     }
     // Validate the schedule exactly like an inline `phases` field.
@@ -1460,7 +1455,7 @@ fn replay_workload_library(
     };
     let mut library = HashMap::new();
     for entry in parse_workload_journal(&text)? {
-        validate_workload(&entry.name, &entry.phases, cfg).map_err(|e| {
+        validate_workload(&entry.name, &entry.phases).map_err(|e| {
             ServeError::Registry(format!("workload journal entry `{}`: {e}", entry.name))
         })?;
         library.insert(
@@ -1755,11 +1750,10 @@ fn resolve_workload(shared: &Shared, request: &PredictRequest) -> Result<Workloa
             "a request cannot carry both `phases` and `workload_name`",
         )),
         (Some(phases), None) => {
-            if phases.len() > shared.cfg.max_phases {
+            if phases.len() > MAX_PHASES {
                 return Err(ServeError::InvalidRequest(format!(
-                    "inline schedule has {} phases, limit is {}",
+                    "inline schedule has {} phases, limit is {MAX_PHASES}",
                     phases.len(),
-                    shared.cfg.max_phases
                 )));
             }
             let label = request

@@ -167,7 +167,9 @@ pub struct ShardProxy {
     default_model: Option<String>,
     next_id: AtomicU64,
     requests: AtomicU64,
-    /// Errors the proxy answered itself (not a shard's `unavailable`).
+    /// Errors the proxy answered itself. A request its shard failed
+    /// (dead, cooling down, stalled) is answered `unavailable` by the
+    /// reactor and counted in `stats.reactors[].upstream_failures`.
     errors: AtomicU64,
 }
 

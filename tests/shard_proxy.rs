@@ -12,7 +12,7 @@ use atlas_serve::protocol::salvage_id;
 use atlas_serve::reactor::{Frontend, FrontendContext, ReactorConfig, ReactorPool};
 use atlas_serve::{
     trace_route_key, AtlasService, PredictDeltaResponse, PredictResponse, ServiceConfig, ShardInfo,
-    ShardProxy, ShardRing,
+    ShardProxy, ShardRing, StatsResponse,
 };
 
 /// A configuration small enough to train inside the test suite.
@@ -251,6 +251,12 @@ fn dead_shard_requests_are_answered_exactly_once() {
     let reply = ask(&mut stream, &mut reader, &predict(3, &on_live));
     assert!(reply.contains(r#""echo":true"#), "got: {reply}");
     assert!(reply.contains(r#""id":3,"#), "got: {reply}");
+    // The proxy's own `stats` shows the two failed forwards.
+    let stats: StatsResponse =
+        serde_json::from_str(&ask(&mut stream, &mut reader, r#"{"verb":"stats"}"#))
+            .expect("stats parses");
+    let failed: u64 = stats.reactors.iter().map(|r| r.upstream_failures).sum();
+    assert_eq!(failed, 2, "{stats:?}");
 
     front.shutdown().expect("proxy shutdown");
     live.shutdown().expect("shard shutdown");
